@@ -17,6 +17,7 @@ from .knn import (
     knn_classify,
     query_knn,
     take_snapshot,
+    topk,
 )
 from .losses import (
     BatchStats,

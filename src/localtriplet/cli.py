@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_open
 from .data import (
     Dataset,
     load_dataset,
@@ -122,7 +123,7 @@ def _read_config_file(path) -> dict:
 
 
 # keys whose built-in default is None but which carry typed values
-_COERCE_OVERRIDES = {"k": int, "subset": int, "test_subset": int}
+_COERCE_OVERRIDES = {"k": int, "subset": int, "test_subset": int, "c_b": float, "eps": float}
 
 
 def _coerce(key, value, like):
@@ -311,7 +312,8 @@ def _train_config(opts: dict) -> TrainConfig:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with atomic_open(path, "w") as f:
+        f.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _manifest(out_dir: Path, command: str, opts: dict, train_ds: Dataset,
@@ -382,16 +384,41 @@ def _load_run(ns_opts: dict):
     return net, extra, train_ds, queries, run
 
 
+def _run_settings(ns: argparse.Namespace, opts: dict, run: Path, defaults: dict):
+    """Resolve eval/verify settings: flags, then the config file, then the
+    run's training config in manifest.json, then defaults. Returns
+    ({key: value}, {key: "flag" | "config" | "manifest" | "default"})."""
+    manifest, trained = run / "manifest.json", {}
+    if manifest.exists():
+        try:
+            trained = json.loads(manifest.read_text()).get("config") or {}
+        except (OSError, ValueError) as err:
+            raise DataError(f"unreadable manifest: {manifest} ({err})") from err
+    values, sources = {}, {}
+    for key, default in defaults.items():
+        if opts.get(key) is not None:
+            values[key], sources[key] = opts[key], "flag" if key in vars(ns) else "config"
+        elif trained.get(key) is not None:
+            values[key], sources[key] = trained[key], "manifest"
+        else:
+            values[key], sources[key] = default, "default"
+    if values["k"] < 1:
+        raise ConfigError(f"bad_k: {values['k']}")
+    return values, sources
+
+
 def cmd_eval(ns: argparse.Namespace) -> int:
     opts = _resolve(ns, {"run_dir": None, "k": None, "config": None})
     net, _extra, train_ds, queries, run = _load_run(opts)
     if queries is None or not queries.n:
         raise DataError(f"missing data file: {run / 'test.npz'}")
-    k = opts["k"] if opts["k"] else choose_k(train_ds.n)
+    settings, sources = _run_settings(ns, opts, run, {"k": choose_k(train_ds.n)})
+    k = settings["k"]
     accuracy, _preds, confusion = evaluate_knn(net, train_ds, queries, k)
     classes = sorted(set(np.concatenate([train_ds.labels, queries.labels]).tolist()))
     report = {
         "k": k,
+        "sources": sources,
         "n_train": train_ds.n,
         "n_queries": queries.n,
         "accuracy": accuracy,
@@ -406,18 +433,20 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    opts = _resolve(ns, {"run_dir": None, "k": None, "c_b": 3.0, "eps": 1e-3,
+    opts = _resolve(ns, {"run_dir": None, "k": None, "c_b": None, "eps": None,
                          "config": None})
     net, _extra, train_ds, queries, run = _load_run(opts)
-    k = opts["k"] if opts["k"] else choose_k(train_ds.n)
+    settings, sources = _run_settings(
+        ns, opts, run, {"k": choose_k(train_ds.n), "c_b": _TRAIN_DEFAULTS["c_b"],
+                        "eps": _TRAIN_DEFAULTS["eps"]})
+    k = settings["k"]
     train_emb = net.embed(train_ds.samples)
     condition = check_optimal_condition(train_emb, train_ds.labels, k,
-                                        opts["c_b"], opts["eps"])
+                                        settings["c_b"], settings["eps"])
     write_violations_csv(run / "violations.csv", condition)
     summary = {
-        "k": k,
-        "c_b": opts["c_b"],
-        "eps": opts["eps"],
+        **settings,
+        "sources": sources,
         "n_anchors_checked": condition.n_checked,
         "n_skipped": len(condition.skipped_anchors),
         "n_violations": len(condition.violations),

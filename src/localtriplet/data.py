@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
+
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CACHE_FORMAT_VERSION = 1
@@ -217,15 +219,16 @@ def make_blobs(classes: int, per_class: int, dim: int, spacing: float,
 
 
 def save_dataset(path, dataset: Dataset) -> None:
-    """Versioned npz cache; reload is bit-identical."""
+    """Versioned npz cache written atomically to path; reload is bit-identical."""
     meta = {
         "cache_format_version": CACHE_FORMAT_VERSION,
         "sample_shape": list(dataset.sample_shape),
         "split": dataset.split,
         "normalization": dataset.normalization,
     }
-    np.savez(path, samples=dataset.samples, labels=dataset.labels,
-             meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8))
+    with atomic_open(path) as f:
+        np.savez(f, samples=dataset.samples, labels=dataset.labels,
+                 meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8))
 
 
 def load_dataset(path) -> Dataset:

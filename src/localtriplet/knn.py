@@ -1,9 +1,12 @@
 """Exact nearest-neighbor search, KNN classification, and the per-epoch
 neighborhood snapshot used by margin computation and local mining.
 
-All queries are exact: a kd-tree is used for dim <= 20 and a brute-force
-scan otherwise, and both return the same (index, distance) lists as an
-exhaustive search with ties broken by ascending point index.
+Every neighbor computation goes through one blocked brute-force kernel,
+``topk``: distances are computed for a block of query rows at a time with
+the pinned diff-square-sum arithmetic, so each pair's distance is
+bit-identical to ``mathops.sq_dist``, and the k nearest are selected per
+row in ascending (distance, id) order, ties broken by ascending point
+index. The result equals an exhaustive sorted scan for every n.
 
 Neighborhood snapshots always measure Euclidean (unsquared) distance so
 that triangle-inequality reasoning about neighborhood radii is sound;
@@ -11,24 +14,16 @@ orderings are identical under both metrics.
 """
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .mathops import (
-    as_sample_matrix,
-    pairwise_sq_dists,
-    pairwise_sq_dists_gram,
-    sq_dists_rowwise,
-)
+from .mathops import as_sample_matrix
 
-KDTREE_MAX_DIM = 20
-# Beyond this size the snapshot switches to Gram-matrix distances; the
-# exact-equality contract for queries is stated for n <= 2000.
-EXACT_SNAPSHOT_MAX_N = 2048
+# scratch budget of one distance block: query rows * points * dim float64s
+BLOCK_ELEMENTS = 1 << 18
 
 
 def choose_k(n: int) -> int:
@@ -38,33 +33,6 @@ def choose_k(n: int) -> int:
     return math.isqrt(n - 1) + 1
 
 
-class _KDNode:
-    __slots__ = ("idx", "axis", "left", "right")
-
-    def __init__(self, idx: int, axis: int, left=None, right=None):
-        self.idx = idx
-        self.axis = axis
-        self.left = left
-        self.right = right
-
-
-def _build_kdtree(points: np.ndarray, ids: np.ndarray, depth: int = 0):
-    if ids.size == 0:
-        return None
-    axis = depth % points.shape[1]
-    coords = points[ids, axis]
-    # sort by (coordinate, id) so the median choice is deterministic
-    order = np.lexsort((ids, coords))
-    ids = ids[order]
-    mid = ids.size // 2
-    return _KDNode(
-        int(ids[mid]),
-        axis,
-        _build_kdtree(points, ids[:mid], depth + 1),
-        _build_kdtree(points, ids[mid + 1:], depth + 1),
-    )
-
-
 @dataclass(frozen=True)
 class NeighborIndex:
     """Immutable search index over an embedded, labeled point set."""
@@ -72,7 +40,6 @@ class NeighborIndex:
     points: np.ndarray          # (n, dim) float64
     labels: np.ndarray          # (n,) int64
     metric: str                 # "euclidean" | "sq_euclidean"
-    _tree: object = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -84,7 +51,7 @@ class NeighborIndex:
 
 
 def build_index(points, labels, metric: str = "euclidean") -> NeighborIndex:
-    """Build an exact index; kd-tree for dim <= 20, brute force above."""
+    """Validate and freeze a labeled point set for exact search."""
     if metric not in ("euclidean", "sq_euclidean"):
         raise ValueError(f"bad_metric: {metric}")
     pts = as_sample_matrix(points).copy()
@@ -93,49 +60,68 @@ def build_index(points, labels, metric: str = "euclidean") -> NeighborIndex:
         raise ValueError(f"label_mismatch: {pts.shape[0]} points vs {lab.shape} labels")
     pts.setflags(write=False)
     lab.setflags(write=False)
-    tree = None
-    if pts.shape[1] <= KDTREE_MAX_DIM:
-        tree = _build_kdtree(pts, np.arange(pts.shape[0]))
-    return NeighborIndex(points=pts, labels=lab, metric=metric, _tree=tree)
+    return NeighborIndex(points=pts, labels=lab, metric=metric)
 
 
-def _kd_query(index: NeighborIndex, q: np.ndarray, k: int, exclude: int | None):
-    # max-heap of the k best (dist, idx) in the index metric, stored negated
-    # so the lexicographically worst candidate sits at heap[0]; (dist, idx)
-    # ordering implements the ascending-index tie break. Ranking must happen
-    # in metric space: sqrt can fuse distances that differ by an ulp in
-    # squared space into exact ties.
-    heap: list[tuple[float, int]] = []
-    euclid = index.metric == "euclidean"
+def distance_blocks(q: np.ndarray, p: np.ndarray, metric: str = "euclidean", exclude=None):
+    """Yield (lo, hi, dist): the (hi - lo, n) distances from rows lo:hi of
+    the float64 matrix q to every row of p, each np.sum(d * d) over
+    d = query - point as in mathops.sq_dist, square-rooted for the
+    euclidean metric before any ranking (sqrt can merge squared distances
+    an ulp apart into exact ties, which then break by id). exclude holds
+    one point id per query row; that entry is NaN, which every comparison
+    rejects and every sort puts last.
+    """
+    m, (n, dim) = q.shape[0], p.shape
+    rows = max(1, BLOCK_ELEMENTS // (n * dim))
+    scratch = np.empty((min(rows, m), n, dim), dtype=np.float64)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        d = np.subtract(q[lo:hi, None, :], p[None, :, :], out=scratch[:hi - lo])
+        dist = np.sum(np.multiply(d, d, out=d), axis=2)
+        if metric == "euclidean":
+            np.sqrt(dist, out=dist)
+        if exclude is not None:
+            dist[np.arange(hi - lo), exclude[lo:hi]] = np.nan
+        yield lo, hi, dist
 
-    def visit(node):
-        if node is None:
-            return
-        if node.idx != exclude:
-            d = q - index.points[node.idx]
-            dist = float(np.sum(d * d))
-            if euclid:
-                dist = math.sqrt(dist)
-            key = (-dist, -node.idx)
-            if len(heap) < k:
-                heapq.heappush(heap, key)
-            elif key > heap[0]:
-                heapq.heapreplace(heap, key)
-        delta = float(q[node.axis] - index.points[node.idx, node.axis])
-        near, far = (node.left, node.right) if delta < 0 else (node.right, node.left)
-        visit(near)
-        # the far side can still hold an equal-distance lower-index point;
-        # one ulp of slack absorbs sqrt rounding at the boundary
-        if len(heap) < k:
-            visit(far)
-        else:
-            worst = -heap[0][0]
-            bound = abs(delta) if euclid else delta * delta
-            if bound <= math.nextafter(worst, math.inf):
-                visit(far)
 
-    visit(index._tree)
-    return sorted((-nd, -ni) for nd, ni in heap)
+def _select_k(dist: np.ndarray, k: int):
+    """(ids, dists), both (rows, k): each row's k smallest entries in
+    ascending (distance, id) order. Every column at or below the row's kth
+    value is a candidate; sorting candidates by (row, distance, id) and
+    keeping each row's first k resolves ties at the kth boundary exactly.
+    """
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero(dist <= kth)
+    vals = dist[rows, cols]
+    order = np.lexsort((cols, vals, rows))
+    starts = np.searchsorted(rows, np.arange(dist.shape[0]))
+    take = order[starts[:, None] + np.arange(k)]
+    return cols[take], vals[take]
+
+
+def topk(queries, points, k: int, exclude=None, metric: str = "euclidean"):
+    """Exact k nearest points of every query row.
+
+    exclude, if given, is one point id per query row left out of that
+    row's candidates. Returns (ids, dists), both (m, k), each row in
+    ascending (distance, id) order; dists are in the given metric.
+    """
+    if metric not in ("euclidean", "sq_euclidean"):
+        raise ValueError(f"bad_metric: {metric}")
+    q = as_sample_matrix(queries)
+    p = as_sample_matrix(points)
+    if q.shape[1] != p.shape[1]:
+        raise ValueError(f"dim_mismatch: queries {q.shape} vs points {p.shape}")
+    avail = p.shape[0] - (1 if exclude is not None else 0)
+    if k < 1 or k > avail:
+        raise ValueError(f"k_exceeds_n: k={k}, available={avail}")
+    ids = np.empty((q.shape[0], k), dtype=np.int64)
+    dists = np.empty((q.shape[0], k), dtype=np.float64)
+    for lo, hi, dist in distance_blocks(q, p, metric, exclude):
+        ids[lo:hi], dists[lo:hi] = _select_k(dist, k)
+    return ids, dists
 
 
 def query_knn(
@@ -145,20 +131,9 @@ def query_knn(
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] != index.dim:
         raise ValueError(f"dim_mismatch: query {q.shape} vs index dim {index.dim}")
-    avail = index.n - (1 if exclude is not None else 0)
-    if k < 1 or k > avail:
-        raise ValueError(f"k_exceeds_n: k={k}, available={avail}")
-    if index._tree is not None:
-        pairs = _kd_query(index, q, k, exclude)
-    else:
-        d = sq_dists_rowwise(index.points, q)
-        if index.metric == "euclidean":
-            d = np.sqrt(d)
-        if exclude is not None:
-            d[exclude] = np.inf
-        order = np.argsort(d, kind="stable")[:k]
-        pairs = [(float(d[i]), int(i)) for i in order]
-    return [(i, dist) for dist, i in pairs]
+    ids, dists = topk(q[None, :], index.points, k,
+                      exclude=None if exclude is None else [exclude], metric=index.metric)
+    return [(int(i), float(d)) for i, d in zip(ids[0], dists[0])]
 
 
 def knn_classify(index: NeighborIndex, q, k: int):
@@ -168,21 +143,11 @@ def knn_classify(index: NeighborIndex, q, k: int):
     fractions count/k so they always sum to 1; argmax ties go to the
     class of the nearest neighbor among the tied classes.
     """
-    neighbors = query_knn(index, q, k)
-    counts: dict[int, int] = {}
-    for i, _ in neighbors:
-        c = int(index.labels[i])
-        counts[c] = counts.get(c, 0) + 1
-    posterior = {c: Fraction(m, k) for c, m in counts.items()}
+    votes = [int(index.labels[i]) for i, _ in query_knn(index, q, k)]
+    counts = {c: votes.count(c) for c in votes}    # keys nearest first
     best = max(counts.values())
-    tied = {c for c, m in counts.items() if m == best}
-    if len(tied) == 1:
-        return tied.pop(), posterior
-    for i, _ in neighbors:
-        c = int(index.labels[i])
-        if c in tied:
-            return c, posterior
-    raise AssertionError("unreachable: tied class must appear among neighbors")
+    pred = next(c for c, m in counts.items() if m == best)
+    return pred, {c: Fraction(m, k) for c, m in counts.items()}
 
 
 @dataclass(frozen=True)
@@ -224,49 +189,33 @@ def take_snapshot(index: NeighborIndex, k: int, epoch: int = 0) -> NeighborhoodS
     n = index.n
     if k < 1 or k > n - 1:
         raise ValueError(f"k_exceeds_n: k={k}, n={n} (self excluded)")
-    pts = index.points
-    if n <= EXACT_SNAPSHOT_MAX_N:
-        sq = pairwise_sq_dists(pts)
-    else:
-        sq = pairwise_sq_dists_gram(pts)
-    dist = np.sqrt(sq, out=sq)
-    np.fill_diagonal(dist, np.inf)
-
-    # stable argsort == ascending (distance, index) tie break
-    neighbor_ids = np.empty((n, k), dtype=np.int64)
-    d_ak = np.empty(n, dtype=np.float64)
-    chunk = max(1, (1 << 22) // max(n, 1))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        order = np.argsort(dist[lo:hi], axis=1, kind="stable")[:, :k]
-        neighbor_ids[lo:hi] = order
-        d_ak[lo:hi] = np.take_along_axis(dist[lo:hi], order[:, -1:], axis=1)[:, 0]
-
-    d_ak_pos = np.full(n, np.nan, dtype=np.float64)
-    has_positive = np.zeros(n, dtype=bool)
     labels = index.labels
+    # per class with a peer: its sorted members and the order statistic of
+    # the kth same-class neighbor, or of the farthest peer when m <= k
+    classes = []
+    has_positive = np.zeros(n, dtype=bool)
     for c in np.unique(labels):
         members = np.flatnonzero(labels == c)
-        m = members.size
-        if m < 2:
-            continue
-        within = np.sort(dist[np.ix_(members, members)], axis=1)
-        # column 0 is the +inf-free nearest peer (diagonal is +inf and
-        # sorts last); the kth same-class neighbor or the farthest peer
-        col = min(k, m - 1) - 1
-        d_ak_pos[members] = within[:, col]
-        has_positive[members] = True
+        if members.size >= 2:
+            classes.append((members, min(k, members.size - 1) - 1))
+            has_positive[members] = True
+
+    neighbor_ids = np.empty((n, k), dtype=np.int64)
+    d_ak = np.empty(n, dtype=np.float64)
+    d_ak_pos = np.full(n, np.nan, dtype=np.float64)
+    for lo, hi, dist in distance_blocks(index.points, index.points, exclude=np.arange(n)):
+        neighbor_ids[lo:hi], dists = _select_k(dist, k)
+        d_ak[lo:hi] = dists[:, -1]
+        for members, col in classes:
+            rows = members[np.searchsorted(members, lo):np.searchsorted(members, hi)]
+            if rows.size:
+                within = dist[np.ix_(rows - lo, members)]
+                d_ak_pos[rows] = np.partition(within, col, axis=1)[:, col]
 
     for arr in (d_ak, d_ak_pos, neighbor_ids, has_positive):
         arr.setflags(write=False)
-    return NeighborhoodSnapshot(
-        epoch=epoch,
-        k=k,
-        d_ak=d_ak,
-        d_ak_pos=d_ak_pos,
-        neighbor_ids=neighbor_ids,
-        has_positive=has_positive,
-    )
+    return NeighborhoodSnapshot(epoch=epoch, k=k, d_ak=d_ak, d_ak_pos=d_ak_pos,
+                                neighbor_ids=neighbor_ids, has_positive=has_positive)
 
 
 def is_outlier(snapshot: NeighborhoodSnapshot, index: NeighborIndex, q) -> bool:

@@ -1,9 +1,9 @@
 """Dense vector arithmetic and reductions shared by every other module.
 
 Everything here works on float64 numpy arrays and is pure: no learning
-logic, no hidden state. Squared distances are computed as an elementwise
-difference, square, and sum so that single-pair and row-wise results are
-bit-identical (both reduce the same contiguous float64 buffer).
+logic, no hidden state. Squared distances are an elementwise difference,
+square, and sum, so single-pair, row-wise, pairwise and knn.topk results
+are bit-identical (each reduces a contiguous run of the same values).
 """
 from __future__ import annotations
 
@@ -75,9 +75,9 @@ def pairwise_sq_dists_gram(points: np.ndarray) -> np.ndarray:
     """(n, n) squared distances via the Gram matrix.
 
     Faster than the exact path for large n but subject to cancellation
-    noise around zero; results are clamped at 0. Only used where no
-    bit-exact contract applies (neighborhood snapshots beyond the exact
-    small-n regime).
+    noise around zero; results are clamped at 0. Not bit-identical to
+    sq_dist, so no neighbor computation uses it: every neighbor query
+    goes through the exact kernel in knn.topk.
     """
     points = as_sample_matrix(points)
     sq_norms = np.sum(points * points, axis=1)

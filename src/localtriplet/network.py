@@ -16,6 +16,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
+
 LEAKY_SLOPE = 0.01
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -377,7 +379,7 @@ class Adam:
 
 
 def save_checkpoint(path, net: EmbeddingNet, extra: dict | None = None) -> None:
-    """Write a versioned npz: JSON meta + flat parameter arrays in layer order."""
+    """Atomically write a versioned npz: JSON meta + parameter arrays in layer order."""
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "input_shape": list(net.input_shape),
@@ -387,8 +389,9 @@ def save_checkpoint(path, net: EmbeddingNet, extra: dict | None = None) -> None:
         "extra": extra or {},
     }
     arrays = {f"param_{i:03d}": p for i, p in enumerate(net.params)}
-    np.savez(path, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
-             **arrays)
+    with atomic_open(path) as f:
+        np.savez(f, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
+                 **arrays)
 
 
 def load_checkpoint(path) -> tuple[EmbeddingNet, dict]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset
-from .knn import build_index, choose_k, knn_classify, take_snapshot
+from .knn import build_index, choose_k, take_snapshot, topk
 from .losses import LossWeights, combined_loss
 from .mining import sample_hard, sample_local, sample_uniform
 from .network import Adam, EmbeddingNet, SoftmaxHead, softmax_head_loss
@@ -30,7 +30,7 @@ _SNAPSHOT_METHODS = ("lm", "lm_mining")
 
 
 class DivergedError(RuntimeError):
-    """Raised when a batch loss stops being finite; carries partial reports."""
+    """Raised when a batch loss or embedding is non-finite; carries partial reports."""
 
     def __init__(self, message: str, reports=None):
         super().__init__(message)
@@ -145,6 +145,8 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
     snapshot = None
     if method in _SNAPSHOT_METHODS:
         embedded = net.embed(samples)
+        if not np.all(np.isfinite(embedded)):
+            raise DivergedError(f"diverged: non-finite embedding at the start of epoch {epoch}")
         index = build_index(embedded, labels, metric="euclidean")
         snapshot = take_snapshot(index, k, epoch)
 
@@ -226,18 +228,20 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
 
 
 def evaluate_knn(net: EmbeddingNet, train: Dataset, queries: Dataset, k: int):
-    """KNN accuracy of the embedding: returns (accuracy, predictions, confusion)."""
-    train_emb = net.embed(train.samples)
-    query_emb = net.embed(queries.samples)
-    index = build_index(train_emb, train.labels, metric="euclidean")
+    """KNN accuracy of the embedding: returns (accuracy, predictions, confusion).
+
+    Each query takes the majority class of its k nearest training points;
+    a tie goes to the class of the nearest neighbor among the tied classes.
+    """
+    ids, _ = topk(net.embed(queries.samples), net.embed(train.samples), k)
     classes = np.unique(np.concatenate([train.labels, queries.labels]))
-    pos = {int(c): i for i, c in enumerate(classes)}
+    votes = np.searchsorted(classes, train.labels)[ids]      # (m, k) class positions
+    counts = np.sum(votes[:, :, None] == np.arange(classes.size), axis=1)
+    tied = np.take_along_axis(counts, votes, axis=1) == counts.max(axis=1, keepdims=True)
+    pred_pos = votes[np.arange(queries.n), np.argmax(tied, axis=1)]
+    preds = classes[pred_pos]
     confusion = np.zeros((classes.size, classes.size), dtype=np.int64)
-    preds = np.empty(queries.n, dtype=np.int64)
-    for i in range(queries.n):
-        pred, _ = knn_classify(index, query_emb[i], k)
-        preds[i] = pred
-        confusion[pos[int(queries.labels[i])], pos[pred]] += 1
+    np.add.at(confusion, (np.searchsorted(classes, queries.labels), pred_pos), 1)
     accuracy = float(np.mean(preds == queries.labels))
     return accuracy, preds, confusion
 

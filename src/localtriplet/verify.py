@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .knn import build_index, query_knn, take_snapshot
-from .mathops import as_sample_matrix, pairwise_sq_dists, sq_dists_rowwise
+from .knn import distance_blocks, topk
+from .mathops import as_sample_matrix
 
 
 @dataclass(frozen=True)
@@ -73,29 +73,30 @@ def check_optimal_condition(embeddings, labels, k: int, c_b: float, eps: float
     n = x.shape[0]
     if not (1 <= k <= n - 1):
         raise ValueError(f"k_exceeds_n: k={k}, n={n}")
-    dist = np.sqrt(pairwise_sq_dists(x))
-    np.fill_diagonal(dist, np.inf)
-    d_ak = np.sort(dist, axis=1)[:, k - 1]
+    d_ak, max_pos, min_neg = np.empty((3, n))
+    # one pass; each anchor's own entry is NaN, so it is neither a
+    # positive nor among the k nearest
+    for lo, hi, dist in distance_blocks(x, x, exclude=np.arange(n)):
+        same = labels[lo:hi, None] == labels[None, :]
+        d_ak[lo:hi] = np.partition(dist, k - 1, axis=1)[:, k - 1]
+        max_pos[lo:hi] = np.max(np.where(same & np.isfinite(dist), dist, -np.inf), axis=1)
+        min_neg[lo:hi] = np.min(np.where(same, np.inf, dist), axis=1)
 
-    violations = []
-    skipped = []
-    n_checked = 0
-    for a in range(n):
-        same = labels == labels[a]
-        if int(np.sum(same)) < k + 1:
-            skipped.append(a)
-            continue
-        n_checked += 1
-        row = dist[a]
-        max_pos = float(np.max(row[same & np.isfinite(row)]))
-        min_neg = float(np.min(row[~same]))
-        rhs = max_pos + c_b * d_ak[a] + eps
-        if min_neg < rhs:
-            violations.append(Violation(anchor=a, residual=rhs - min_neg,
-                                        d_ak=float(d_ak[a]),
-                                        max_pos_dist=max_pos, min_neg_dist=min_neg))
-    return OptimalConditionReport(violations=violations, skipped_anchors=skipped,
-                                  n_checked=n_checked)
+    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    checked = counts[inverse] >= k + 1
+    rhs = max_pos + c_b * d_ak + eps
+    violations = [Violation(anchor=int(a), residual=float(rhs[a] - min_neg[a]),
+                            d_ak=float(d_ak[a]), max_pos_dist=float(max_pos[a]),
+                            min_neg_dist=float(min_neg[a]))
+                  for a in np.flatnonzero(checked & (min_neg < rhs))]
+    return OptimalConditionReport(violations=violations,
+                                  skipped_anchors=np.flatnonzero(~checked).tolist(),
+                                  n_checked=int(np.sum(checked)))
+
+
+def _d_ak(x: np.ndarray, k: int) -> np.ndarray:
+    """Each point's distance to its kth nearest other point."""
+    return topk(x, x, k, exclude=np.arange(x.shape[0]))[1][:, -1]
 
 
 def purity_check(train_embeddings, train_labels, query_embeddings, k: int
@@ -109,29 +110,17 @@ def purity_check(train_embeddings, train_labels, query_embeddings, k: int
     x = as_sample_matrix(train_embeddings)
     q = as_sample_matrix(query_embeddings)
     labels = np.asarray(train_labels, dtype=np.int64)
-    index = build_index(x, labels, metric="euclidean")
-    snapshot = take_snapshot(index, k)
-
-    status: list[str] = []
-    anchors = np.empty(q.shape[0], dtype=np.int64)
-    pure = impure = outlier = 0
-    for i in range(q.shape[0]):
-        d = np.sqrt(sq_dists_rowwise(x, q[i]))
-        a = int(np.argmin(d))            # ties already resolved by first index
-        anchors[i] = a
-        if d[a] > snapshot.d_ak[a]:
-            status.append("outlier")
-            outlier += 1
-            continue
-        neighbors = query_knn(index, q[i], k)
-        if all(labels[j] == labels[a] for j, _ in neighbors):
-            status.append("pure")
-            pure += 1
-        else:
-            status.append("impure")
-            impure += 1
-    return PurityReport(n_queries=q.shape[0], pure_count=pure, impure_count=impure,
-                        outlier_count=outlier, query_status=status, nearest_anchor=anchors)
+    if labels.shape != (x.shape[0],):
+        raise ValueError(f"label_mismatch: {x.shape[0]} points vs {labels.shape} labels")
+    ids, dists = topk(q, x, k)
+    anchors = ids[:, 0]              # ties resolved to the lowest id
+    outlier = dists[:, 0] > _d_ak(x, k)[anchors]
+    pure = np.all(labels[ids] == labels[anchors][:, None], axis=1)
+    status = np.where(outlier, "outlier", np.where(pure, "pure", "impure")).tolist()
+    return PurityReport(n_queries=q.shape[0], pure_count=status.count("pure"),
+                        impure_count=status.count("impure"),
+                        outlier_count=status.count("outlier"),
+                        query_status=status, nearest_anchor=anchors)
 
 
 def corollary_margin_check(embeddings, labels, k: int, m: float
@@ -142,10 +131,7 @@ def corollary_margin_check(embeddings, labels, k: int, m: float
     margin implies full neighborhood purity for non-outlier queries.
     Returns (sufficient, max_a d_ak).
     """
-    x = as_sample_matrix(embeddings)
-    index = build_index(x, np.asarray(labels, dtype=np.int64), metric="euclidean")
-    snapshot = take_snapshot(index, k)
-    max_d_ak = snapshot.max_d_ak()
+    max_d_ak = float(np.max(_d_ak(as_sample_matrix(embeddings), k)))
     return m > 3.0 * max_d_ak, max_d_ak
 
 

@@ -92,6 +92,21 @@ def test_verify_command_writes_reports(tmp_path, capsys):
     assert {"purity", "n_violations", "outliers"} <= set(summary)
 
 
+def test_verify_uses_trained_config_from_manifest(tmp_path, capsys):
+    out = _train_run(tmp_path, extra=("--k", "5", "--c-b", "5"))
+    assert main(["verify", "--run-dir", str(out)]) == 0
+    summary = json.loads((out / "verify_summary.json").read_text())
+    assert (summary["k"], summary["c_b"], summary["eps"]) == (5, 5.0, 1e-3)
+    assert summary["sources"] == {"k": "manifest", "c_b": "manifest", "eps": "manifest"}
+    assert main(["verify", "--run-dir", str(out), "--k", "3"]) == 0
+    summary = json.loads((out / "verify_summary.json").read_text())
+    assert (summary["k"], summary["sources"]["k"]) == (3, "flag")
+    (out / "manifest.json").unlink()
+    assert main(["eval", "--run-dir", str(out)]) == 0
+    report = json.loads((out / "eval_report.json").read_text())
+    assert report["sources"] == {"k": "default"}
+
+
 def test_export_scatter(tmp_path):
     out = _train_run(tmp_path)
     code = main(["export-scatter", "--run-dir", str(out)])

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import localtriplet.knn as knn_mod
 from localtriplet.knn import (
     build_index,
     choose_k,
@@ -13,7 +12,9 @@ from localtriplet.knn import (
     knn_classify,
     query_knn,
     take_snapshot,
+    topk,
 )
+from localtriplet.mathops import pairwise_sq_dists
 from oracles import brute_knn
 
 
@@ -38,7 +39,6 @@ def test_500_random_points_match_oracle_kdtree_path(metric):
     rng = np.random.default_rng(42)
     pts, labels = _random_labeled(rng, 500, 16)
     index = build_index(pts, labels, metric=metric)
-    assert index._tree is not None
     for qi in range(40):
         q = rng.standard_normal(16)
         assert query_knn(index, q, 10) == brute_knn(pts, q, 10, metric=metric)
@@ -48,7 +48,6 @@ def test_random_points_match_oracle_brute_path():
     rng = np.random.default_rng(43)
     pts, labels = _random_labeled(rng, 300, 32)
     index = build_index(pts, labels)
-    assert index._tree is None
     for qi in range(30):
         q = rng.standard_normal(32)
         assert query_knn(index, q, 7) == brute_knn(pts, q, 7)
@@ -258,16 +257,57 @@ def test_d_ak_pos_at_least_d_ak_when_a_neighbor_is_negative():
             assert snap.d_ak_pos[a] >= snap.d_ak[a]
 
 
-def test_snapshot_gram_fast_path_matches_exact(monkeypatch):
+def test_snapshot_above_old_gram_bound_matches_exhaustive_sort():
+    # n = 2100 was past the old 2048 cut-over to inexact Gram distances
     rng = np.random.default_rng(49)
-    pts, labels = _random_labeled(rng, 120, 6, classes=3)
-    index = build_index(pts, labels)
-    exact = take_snapshot(index, 5)
-    monkeypatch.setattr(knn_mod, "EXACT_SNAPSHOT_MAX_N", 10)
-    fast = take_snapshot(index, 5)
-    assert np.array_equal(exact.neighbor_ids, fast.neighbor_ids)
-    assert np.allclose(exact.d_ak, fast.d_ak, rtol=1e-9, atol=1e-9)
-    assert np.allclose(exact.d_ak_pos, fast.d_ak_pos, rtol=1e-9, atol=1e-9)
+    n, k = 2100, 7
+    pts = np.round(rng.standard_normal((n, 3)), 1)   # ties are common
+    labels = rng.integers(0, 3, size=n)
+    snap = take_snapshot(build_index(pts, labels), k)
+    dist = np.sqrt(pairwise_sq_dists(pts))
+    np.fill_diagonal(dist, np.inf)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(snap.neighbor_ids, order)
+    assert np.array_equal(snap.d_ak, np.take_along_axis(dist, order[:, -1:], axis=1)[:, 0])
+    d_ak_pos = np.empty(n)
+    for c in range(3):
+        members = np.flatnonzero(labels == c)
+        within = np.sort(dist[np.ix_(members, members)], axis=1, kind="stable")
+        d_ak_pos[members] = within[:, k - 1]
+    assert np.array_equal(snap.d_ak_pos, d_ak_pos)
+
+
+# -------------------------------------------------------------- batched topk
+# a small block budget splits the queries into several blocks of 7 or 13
+# rows with a shorter last block
+
+@pytest.mark.parametrize("metric", ["euclidean", "sq_euclidean"])
+def test_topk_batched_matches_rowwise_oracle_on_ties(metric, monkeypatch):
+    monkeypatch.setattr("localtriplet.knn.BLOCK_ELEMENTS", 1900)
+    rng = np.random.default_rng(54)
+    pts = np.round(rng.standard_normal((90, 3)), 1)
+    queries = np.concatenate([np.round(rng.standard_normal((40, 3)), 1), pts[:20]])
+    for k in (1, 9, 89, 90):
+        ids, dists = topk(queries, pts, k, metric=metric)
+        assert ids.shape == dists.shape == (60, k)
+        for i, q in enumerate(queries):
+            expected = brute_knn(pts, q, k, metric=metric)
+            assert list(zip(ids[i].tolist(), dists[i].tolist())) == expected
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "sq_euclidean"])
+def test_topk_self_excluded_matches_rowwise_oracle_on_ties(metric, monkeypatch):
+    monkeypatch.setattr("localtriplet.knn.BLOCK_ELEMENTS", 1900)
+    rng = np.random.default_rng(55)
+    pts = np.round(rng.standard_normal((70, 2)), 1)
+    n = pts.shape[0]
+    for k in (1, 6, n - 1):
+        ids, dists = topk(pts, pts, k, exclude=np.arange(n), metric=metric)
+        for i in range(n):
+            expected = brute_knn(pts, pts[i], k, metric=metric, exclude=i)
+            assert list(zip(ids[i].tolist(), dists[i].tolist())) == expected
+    with pytest.raises(ValueError, match="k_exceeds_n"):
+        topk(pts, pts, n, exclude=np.arange(n))
 
 
 # ---------------------------------------------------------------- is_outlier

@@ -143,6 +143,15 @@ def test_diverged_raises_with_partial_reports():
     assert isinstance(exc_info.value.reports, list)
 
 
+def test_non_finite_embedding_raises_diverged():
+    net, train_ds, _ = _blob_setup()
+    net.params[0][0, 0] = np.nan
+    cfg = TrainConfig(method="lm", e_max=2, convergence_eps=0.0, seed=16)
+    with pytest.raises(DivergedError, match="non-finite embedding") as exc_info:
+        train(net, cfg, train_ds)
+    assert exc_info.value.reports == []
+
+
 def test_single_class_dataset_rejected():
     from localtriplet.data import Dataset
     ds = Dataset(np.random.default_rng(0).standard_normal((10, 3)),
