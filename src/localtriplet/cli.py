@@ -8,7 +8,8 @@ error, 4 numeric failure.
 
 Run artifacts live under ``runs/<timestamp>-<name>/`` (override the root
 with LOCALTRIPLET_RUNS_DIR or the directory with --out-dir): a manifest,
-dataset caches, the checkpoint, a deterministic epoch log, and reports.
+dataset caches, the checkpoint, a deterministic epoch log, per-epoch phase
+timings (``timings.jsonl``, which varies from run to run), and reports.
 """
 from __future__ import annotations
 
@@ -340,11 +341,13 @@ def _train_into(out_dir: Path, opts: dict):
     net, reports, reason = train(net, config, train_ds, val=val_ds,
                                  log_fn=lambda r: lines.append(r.to_json_line()))
     (out_dir / "epochs.jsonl").write_text("".join(line + "\n" for line in lines))
+    (out_dir / "timings.jsonl").write_text(
+        "".join(r.timing_json_line() + "\n" for r in reports))
     save_checkpoint(out_dir / "checkpoint.npz", net,
                     extra={"method": config.method, "k": config.k,
                            "stop_reason": reason, "epochs_run": len(reports)})
     save_dataset(out_dir / "train.npz", train_ds)
-    outputs = ["checkpoint.npz", "epochs.jsonl", "train.npz", "manifest.json"]
+    outputs = ["checkpoint.npz", "epochs.jsonl", "timings.jsonl", "train.npz", "manifest.json"]
     if val_ds is not None:
         save_dataset(out_dir / "val.npz", val_ds)
         outputs.append("val.npz")

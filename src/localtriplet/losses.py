@@ -22,11 +22,6 @@ import numpy as np
 
 from .mathops import mean_and_var
 
-# The combined loss's last regularizer weighs the variance of the
-# different-class distances. The source display arguably reads it as the
-# same-class variance twice; flip this to reproduce that literal reading.
-SD_TERM_USES_DIFFERENT_CLASS_VARIANCE = True
-
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -34,6 +29,11 @@ class LossWeights:
 
     Defaults follow the reference digit-image configuration: heavy hinge
     weight, unit mean regularizers, no same-class variance term.
+
+    w_sd weighs the variance of the different-class distances. The source
+    display arguably reads that term as the same-class variance twice;
+    sd_term_uses_different_class_variance=False reproduces that literal
+    reading for A/B comparisons.
     """
 
     w_lm: float = 1000.0
@@ -44,6 +44,7 @@ class LossWeights:
     c_b: float = 3.0
     eps: float = 1e-3
     fixed_margin_m: float = 1_000_000.0
+    sd_term_uses_different_class_variance: bool = True
 
     def __post_init__(self):
         for name in ("w_lm", "w_ms", "w_md", "w_ss", "w_sd", "fixed_margin_m"):
@@ -176,7 +177,7 @@ def combined_loss(
 
     w = weights
     var_s_w, var_d_w = (w.w_ss, w.w_sd)
-    if not SD_TERM_USES_DIFFERENT_CLASS_VARIANCE:
+    if not w.sd_term_uses_different_class_variance:
         var_s_w, var_d_w = (w.w_ss + w.w_sd, 0.0)
     value = (
         w.w_lm * hinge_sum

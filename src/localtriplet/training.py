@@ -2,11 +2,12 @@
 
 One epoch of the neighborhood-margin methods re-embeds the training set,
 freezes a NeighborhoodSnapshot, mines one triplet per anchor in shuffled
-order, and optimizes the combined loss batch by batch; snapshot values
-stay fixed for the whole epoch. Fixed-margin baselines run the same loop
-without the snapshot, batch-hard mining draws its triplets inside
-class-balanced sample batches, and the softmax baseline trains the
-extractor end to end through a linear head.
+order in one pass, and optimizes the combined loss batch by batch;
+snapshot values stay fixed for the whole epoch. Fixed-margin baselines run
+the same loop without the snapshot, batch-hard mining draws its triplets
+inside class-balanced sample batches, and every triplet method takes its
+optimizer steps through the same batch step. The softmax baseline trains
+the extractor end to end through a linear head.
 
 Runs are reproducible bit for bit: a single Generator seeded from the
 config drives every shuffle and draw in a fixed order.
@@ -22,11 +23,14 @@ import numpy as np
 from .data import Dataset
 from .knn import build_index, choose_k, take_snapshot, topk
 from .losses import LossWeights, combined_loss
-from .mining import sample_hard, sample_local, sample_uniform
+from .mining import mine_hard, mine_local, mine_uniform, trainable_anchors
 from .network import Adam, EmbeddingNet, SoftmaxHead, softmax_head_loss
 
 METHODS = ("lm", "lm_mining", "mm", "mm_hardmin", "softmax")
 _SNAPSHOT_METHODS = ("lm", "lm_mining")
+# run_epoch's phases: re-embedding the training set, the neighborhood
+# snapshot, triplet mining, and the rest (forward/backward passes and steps)
+PHASES = ("embed", "snapshot", "mine", "optimize")
 
 
 class DivergedError(RuntimeError):
@@ -62,8 +66,9 @@ class EpochReport:
     """Per-epoch observability record.
 
     Snapshot fields and hinge fraction are None for methods that do not
-    produce them; wall_time is excluded from serialized logs so reruns
-    stay byte-identical.
+    produce them. wall_time and phase_times (seconds per PHASES entry) are
+    excluded from comparison and from to_json_line, so logs of reruns stay
+    byte-identical.
     """
 
     epoch: int
@@ -75,11 +80,19 @@ class EpochReport:
     mean_d_ak_pos: float | None = None
     val_accuracy: float | None = None
     wall_time: float = field(default=0.0, compare=False)
+    phase_times: dict | None = field(default=None, compare=False)
 
     def to_json_line(self, include_wall_time: bool = False) -> str:
         d = {k: v for k, v in self.__dict__.items() if v is not None}
+        d.pop("phase_times", None)
         if not include_wall_time:
             d.pop("wall_time", None)
+        return json.dumps(d, sort_keys=True)
+
+    def timing_json_line(self) -> str:
+        """The epoch's wall and per-phase seconds as one JSON line."""
+        d = {"epoch": self.epoch, "wall_s": self.wall_time}
+        d.update((f"{phase}_s", s) for phase, s in (self.phase_times or {}).items())
         return json.dumps(d, sort_keys=True)
 
 
@@ -92,20 +105,16 @@ def _batched(seq, size):
         yield seq[lo:lo + size]
 
 
-def _apply_triplet_batch(net, samples, triplets, d_ak_pos, weights, margin, adam):
-    """Forward the unique samples of a triplet batch, push combined-loss
-    gradients back, and take one optimizer step.
+def _triplet_step(net, emb, caches, rows, d_ak_pos, weights, margin, adam):
+    """One optimizer step on a triplet batch.
 
-    Returns (loss value, number of active hinges).
+    emb and caches come from the caller's forward pass; rows is an (m, 3)
+    array of (anchor, positive, negative) row indices into emb. The
+    combined-loss gradients are summed per embedding row, pushed back
+    through the network, and Adam takes one step. Returns (loss value,
+    number of active hinges).
     """
-    a_ids = np.array([t.a for t in triplets])
-    p_ids = np.array([t.p for t in triplets])
-    n_ids = np.array([t.n for t in triplets])
-    ids = np.unique(np.concatenate([a_ids, p_ids, n_ids]))
-    emb, caches = net.forward(samples[ids])
-    ra = np.searchsorted(ids, a_ids)
-    rp = np.searchsorted(ids, p_ids)
-    rn = np.searchsorted(ids, n_ids)
+    ra, rp, rn = rows.T
     value, ga, gp, gn, _, active = combined_loss(
         emb[ra], emb[rp], emb[rn], weights, d_ak_pos=d_ak_pos, margin=margin)
     if not np.isfinite(value):
@@ -123,20 +132,18 @@ def _hardmin_batches(labels, batch_size, rng):
     batch, drawn without replacement from per-class shuffled pools."""
     classes = np.unique(labels)
     per = max(1, -(-batch_size // classes.size))
-    pools = [list(rng.permutation(np.flatnonzero(labels == c))) for c in classes]
-    while any(pools):
-        batch = []
-        for pool in pools:
-            batch.extend(pool[:per])
-            del pool[:per]
-        yield np.array(sorted(batch), dtype=np.int64)
+    pools = [rng.permutation(np.flatnonzero(labels == c)) for c in classes]
+    for lo in range(0, max(pool.size for pool in pools), per):
+        yield np.sort(np.concatenate([pool[lo:lo + per] for pool in pools]))
 
 
 def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
               epoch: int, rng: np.random.Generator, adam: Adam,
               head: SoftmaxHead | None = None) -> EpochReport:
     """One pass over the training set with the configured method."""
-    t0 = time.perf_counter()
+    clock = time.perf_counter
+    t0 = clock()
+    phases = dict.fromkeys(PHASES, 0.0)
     labels = dataset.labels
     samples = dataset.samples
     k = resolve_k(config, dataset.n)
@@ -147,8 +154,9 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
         embedded = net.embed(samples)
         if not np.all(np.isfinite(embedded)):
             raise DivergedError(f"diverged: non-finite embedding at the start of epoch {epoch}")
-        index = build_index(embedded, labels, metric="euclidean")
-        snapshot = take_snapshot(index, k, epoch)
+        t1 = clock()
+        snapshot = take_snapshot(build_index(embedded, labels, metric="euclidean"), k, epoch)
+        phases["embed"], phases["snapshot"] = t1 - t0, clock() - t1
 
     batch_losses: list[float] = []
     n_triplets = 0
@@ -167,53 +175,44 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
             adam.step(net.params + head.params, grads + head_grads)
             batch_losses.append(value)
     elif method == "mm_hardmin":
+        # mining needs the embeddings of the whole class-balanced batch
         for batch in _hardmin_batches(labels, config.batch_size, rng):
             emb, caches = net.forward(samples[batch])
-            triplets = []
-            for row in range(batch.size):
-                try:
-                    triplets.append(sample_hard(emb, labels[batch], row))
-                except ValueError:
-                    continue   # tail batch without an in-batch positive/negative
-            if not triplets:
+            t1 = clock()
+            # a tail batch may hold anchors without an in-batch positive or negative
+            rows = mine_hard(emb, labels[batch], trainable_anchors(labels[batch]))
+            phases["mine"] += clock() - t1
+            if not rows.size:
                 continue
-            ra = np.array([t.a for t in triplets])
-            rp = np.array([t.p for t in triplets])
-            rn = np.array([t.n for t in triplets])
-            value, ga, gp, gn, _, active = combined_loss(
-                emb[ra], emb[rp], emb[rn], config.weights, margin="fixed")
-            if not np.isfinite(value):
-                raise DivergedError(f"diverged: non-finite batch loss {value}")
-            grad_emb = np.zeros_like(emb)
-            np.add.at(grad_emb, ra, ga)
-            np.add.at(grad_emb, rp, gp)
-            np.add.at(grad_emb, rn, gn)
-            adam.step(net.params, net.backward(caches, grad_emb))
+            value, active = _triplet_step(net, emb, caches, rows, None, config.weights,
+                                          "fixed", adam)
             batch_losses.append(value)
-            n_triplets += len(triplets)
-            n_active += int(np.sum(active))
+            n_triplets += len(rows)
+            n_active += active
     else:
-        # lm / lm_mining / mm: one triplet per eligible anchor per pass
-        class_count = {c: int(np.sum(labels == c)) for c in dataset.classes}
-        eligible = np.array([i for i in range(dataset.n) if class_count[int(labels[i])] >= 2],
-                            dtype=np.int64)
-        anchors = eligible[rng.permutation(eligible.size)]
-        triplets = []
-        for a in anchors:
-            if method == "lm_mining":
-                triplets.append(sample_local(snapshot, labels, int(a), rng))
-            else:
-                triplets.append(sample_uniform(labels, int(a), rng))
+        # lm / lm_mining / mm: one triplet per anchor that has a positive and a negative
+        t1 = clock()
+        anchors = trainable_anchors(labels)
+        anchors = anchors[rng.permutation(anchors.size)]
+        if method == "lm_mining":
+            triplets = mine_local(snapshot.neighbor_ids, labels, anchors, rng)
+        else:
+            triplets = mine_uniform(labels, anchors, rng)
+        phases["mine"] = clock() - t1
         margin = "local" if method in _SNAPSHOT_METHODS else "fixed"
         for chunk in _batched(triplets, config.batch_size):
-            d_pos = snapshot.d_ak_pos[[t.a for t in chunk]] if snapshot is not None else None
-            value, active_count = _apply_triplet_batch(
-                net, samples, chunk, d_pos, config.weights, margin, adam)
+            ids, rows = np.unique(chunk, return_inverse=True)
+            emb, caches = net.forward(samples[ids])
+            d_pos = snapshot.d_ak_pos[chunk[:, 0]] if snapshot is not None else None
+            value, active = _triplet_step(net, emb, caches, rows.reshape(chunk.shape), d_pos,
+                                          config.weights, margin, adam)
             batch_losses.append(value)
             n_triplets += len(chunk)
-            n_active += active_count
+            n_active += active
 
     mean_loss = float(np.mean(batch_losses)) if batch_losses else 0.0
+    wall_time = clock() - t0
+    phases["optimize"] = wall_time - phases["embed"] - phases["snapshot"] - phases["mine"]
     return EpochReport(
         epoch=epoch,
         mean_batch_loss=mean_loss,
@@ -223,7 +222,8 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
         mean_d_ak=snapshot.mean_d_ak() if snapshot is not None else None,
         max_d_ak=snapshot.max_d_ak() if snapshot is not None else None,
         mean_d_ak_pos=snapshot.mean_d_ak_pos() if snapshot is not None else None,
-        wall_time=time.perf_counter() - t0,
+        wall_time=wall_time,
+        phase_times=phases,
     )
 
 

@@ -96,3 +96,61 @@ def rel_err(a, b, floor=1.0):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+# Scalar reference samplers: one anchor per call, O(n) scans, draws in the
+# fixed per-anchor order (uniform: positive then negative; local: negative
+# then positive). Each returns the (anchor, positive, negative) ids.
+
+def _scalar_positives(labels, anchor):
+    pos = np.flatnonzero(labels == labels[anchor])
+    return pos[pos != anchor]
+
+
+def _scalar_choice(rng, candidates):
+    return int(candidates[rng.integers(candidates.size)])
+
+
+def scalar_sample_uniform(labels, anchor, rng):
+    labels = np.asarray(labels)
+    pos = _scalar_positives(labels, anchor)
+    if pos.size == 0:
+        raise ValueError(f"no_positive: class of anchor {anchor} has a single sample")
+    neg = np.flatnonzero(labels != labels[anchor])
+    if neg.size == 0:
+        raise ValueError("no_negative: dataset has a single class")
+    return anchor, _scalar_choice(rng, pos), _scalar_choice(rng, neg)
+
+
+def scalar_sample_local(neighbor_ids, labels, anchor, rng):
+    labels = np.asarray(labels)
+    pos = _scalar_positives(labels, anchor)
+    if pos.size == 0:
+        raise ValueError(f"no_positive: class of anchor {anchor} has a single sample")
+    neg = np.flatnonzero(labels != labels[anchor])
+    if neg.size == 0:
+        raise ValueError("no_negative: dataset has a single class")
+    hood = np.asarray(neighbor_ids)[anchor]
+    local_neg = hood[labels[hood] != labels[anchor]]
+    n = _scalar_choice(rng, local_neg) if local_neg.size else _scalar_choice(rng, neg)
+    nonlocal_pos = pos[~np.isin(pos, hood)]
+    p = _scalar_choice(rng, nonlocal_pos) if nonlocal_pos.size else _scalar_choice(rng, pos)
+    return anchor, p, n
+
+
+def scalar_sample_hard(embeddings, labels, anchor):
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    labels = np.asarray(labels)
+    d = embeddings - embeddings[anchor]
+    sq = np.sum(d * d, axis=1)
+    pos_mask = labels == labels[anchor]
+    pos_mask[anchor] = False
+    if not np.any(pos_mask):
+        raise ValueError(f"no_positive: batch holds no same-class sample for row {anchor}")
+    neg_mask = labels != labels[anchor]
+    if not np.any(neg_mask):
+        raise ValueError(f"no_negative: batch holds no different-class sample for row {anchor}")
+    # np.argmax/argmin return the first (lowest-index) extremum
+    p = int(np.argmax(np.where(pos_mask, sq, -np.inf)))
+    n = int(np.argmin(np.where(neg_mask, sq, np.inf)))
+    return anchor, p, n

@@ -34,6 +34,30 @@ def test_train_writes_artifacts(tmp_path, capsys):
     assert "wall_time" not in lines[0]
 
 
+def test_train_writes_phase_timings(tmp_path):
+    out = _train_run(tmp_path)
+    assert "timings.jsonl" in json.loads((out / "manifest.json").read_text())["outputs"]
+    rows = [json.loads(line) for line in (out / "timings.jsonl").read_text().splitlines()]
+    assert [row.pop("epoch") for row in rows] == [0, 1]
+    for row in rows:
+        assert set(row) == {"wall_s", "embed_s", "snapshot_s", "mine_s", "optimize_s"}
+        assert row["wall_s"] == pytest.approx(sum(row.values()) - row["wall_s"])
+        assert min(row.values()) >= 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method, cause", [
+    ("mm", "non-finite batch loss"),
+    ("lm_mining", "non-finite embedding at the start of epoch"),
+])
+def test_train_divergence_exit_4(tmp_path, capsys, method, cause):
+    code = main(["train", "--method", method, "--data", "blobs", "--classes", "3",
+                 "--per-class", "20", "--dim", "4", "--arch", "mlp:8,4", "--epochs", "3",
+                 "--lr", "1e300", "--out-dir", str(tmp_path / "r")])
+    assert code == 4
+    assert cause in capsys.readouterr().err
+
+
 def test_train_missing_data_path_exit_3(tmp_path, capsys):
     code = main(["train", "--data", "mnist", "--train-dir", str(tmp_path / "nope"),
                  "--out-dir", str(tmp_path / "r")])

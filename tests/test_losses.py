@@ -1,7 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-import localtriplet.losses as losses_mod
 from localtriplet.losses import (
     LossWeights,
     combined_loss,
@@ -256,7 +257,7 @@ def test_inactive_hinge_flat_under_negative_perturbation():
         assert moved.value == 0.0
 
 
-def test_sd_term_literal_reading_constant(monkeypatch):
+def test_sd_term_literal_reading_constant():
     rng = np.random.default_rng(109)
     w = LossWeights(w_lm=0.0, w_ms=0.0, w_md=0.0, w_ss=0.5, w_sd=2.0)
     xa = rng.standard_normal((5, 3))
@@ -265,8 +266,8 @@ def test_sd_term_literal_reading_constant(monkeypatch):
     value_default, *_ = combined_loss(xa, xp, xn, w, margin="fixed")
     _, _, _, _, stats, _ = combined_loss(xa, xp, xn, w, margin="fixed")
     assert value_default == pytest.approx(0.5 * stats.var_s + 2.0 * stats.var_d)
-    monkeypatch.setattr(losses_mod, "SD_TERM_USES_DIFFERENT_CLASS_VARIANCE", False)
-    value_literal, *_ = combined_loss(xa, xp, xn, w, margin="fixed")
+    literal = replace(w, sd_term_uses_different_class_variance=False)
+    value_literal, *_ = combined_loss(xa, xp, xn, literal, margin="fixed")
     assert value_literal == pytest.approx((0.5 + 2.0) * stats.var_s)
 
 

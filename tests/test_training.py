@@ -6,6 +6,7 @@ from localtriplet.data import make_blobs, split
 from localtriplet.losses import LossWeights
 from localtriplet.network import EmbeddingNet, mlp
 from localtriplet.training import (
+    PHASES,
     DivergedError,
     EpochReport,
     TrainConfig,
@@ -127,6 +128,11 @@ def test_all_methods_run_and_report(method):
     assert [r.epoch for r in reports] == [0, 1]
     assert all(np.isfinite(r.mean_batch_loss) for r in reports)
     assert all(r.wall_time >= 0 for r in reports)
+    for r in reports:
+        assert set(r.phase_times) == set(PHASES)
+        assert sum(r.phase_times.values()) == pytest.approx(r.wall_time)
+        assert (r.phase_times["snapshot"] > 0) == (method in ("lm", "lm_mining"))
+        assert (r.phase_times["mine"] > 0) == (method != "softmax")
 
 
 def test_diverged_raises_with_partial_reports():
@@ -187,9 +193,13 @@ def test_evaluate_knn_on_separable_blobs():
 
 def test_epoch_report_json_line_excludes_wall_time():
     r = EpochReport(epoch=3, mean_batch_loss=1.5, n_triplets=10,
-                    hinge_active_fraction=0.25, wall_time=123.4)
+                    hinge_active_fraction=0.25, wall_time=123.4,
+                    phase_times={"mine": 1.0})
     line = r.to_json_line()
     assert "wall_time" not in line
+    assert "phase_times" not in line and "phase_times" not in r.to_json_line(True)
+    assert r == EpochReport(epoch=3, mean_batch_loss=1.5, n_triplets=10,
+                            hinge_active_fraction=0.25)
     assert "mean_d_ak" not in line          # None fields dropped
     assert '"epoch": 3' in line
     assert "wall_time" in r.to_json_line(include_wall_time=True)
