@@ -457,7 +457,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     }
     if queries is not None and queries.n:
         query_emb = net.embed(queries.samples)
-        purity = purity_check(train_emb, train_ds.labels, query_emb, k)
+        purity = purity_check(train_emb, train_ds.labels, query_emb, k, d_ak=condition.d_ak)
         xy, _, _ = pca_reduce(query_emb, 2) if query_emb.shape[1] >= 2 else (
             np.column_stack([query_emb[:, 0], np.zeros(queries.n)]), None, None)
         write_scatter_csv(run / "purity.csv", xy, queries.labels,

@@ -6,8 +6,9 @@ Layout conventions: image batches are (n, H, W, C) float64, flat batches
 are (n, d). Convolutions are 3x3-style odd square filters, stride 1,
 zero "same" padding, realized as im2col + one matrix multiply; max
 pooling is 2x2 stride 2 and routes gradients to the first maximum in
-row-major window order. Leaky ReLU is max(0.01x, x) with derivative 0.01
-at exactly 0.
+row-major window order (windows holding a NaN route to their last
+position). Leaky ReLU is max(0.01x, x) with derivative 0.01 at exactly 0.
+The first layer computes no gradient with respect to the network input.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .atomic import atomic_open
 
@@ -70,12 +72,9 @@ def mlp(*dims: int) -> list[LayerSpec]:
 
 
 def leaky_relu(x: np.ndarray) -> np.ndarray:
-    # identical to max(0.01x, x); single ufunc pass
-    return np.maximum(LEAKY_SLOPE * x, x)
-
-
-def leaky_relu_grad(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, x.dtype.type(1.0), x.dtype.type(LEAKY_SLOPE))
+    # max(0.01x, x), written into the 0.01x temporary
+    y = x * LEAKY_SLOPE
+    return np.maximum(y, x, out=y)
 
 
 def _apply_activation(kind: str, z: np.ndarray):
@@ -88,7 +87,13 @@ def _apply_activation(kind: str, z: np.ndarray):
 
 def _activation_backward(kind: str, g: np.ndarray, z):
     if kind == "leaky_relu":
-        return g * leaky_relu_grad(z)
+        # the derivative (z > 0) * (1 - slope) + slope is exactly 1 or the
+        # slope, built without a data-dependent branch per element
+        one, slope = z.dtype.type(1.0), z.dtype.type(LEAKY_SLOPE)
+        grad = np.multiply(z > 0.0, one - slope, dtype=z.dtype)
+        grad += slope
+        grad *= g
+        return grad
     return g
 
 
@@ -121,33 +126,36 @@ class _Conv2d:
         return [self.w, self.b]
 
     def _im2col(self, x: np.ndarray) -> np.ndarray:
+        # one copy of the (dy, dx, cin)-ordered windows of the padded input
         n, (h, w, cin), f, p = x.shape[0], self.in_shape, self.f, self.pad
         xp = np.zeros((n, h + 2 * p, w + 2 * p, cin), dtype=x.dtype)
         xp[:, p:p + h, p:p + w, :] = x
-        cols = [xp[:, dy:dy + h, dx:dx + w, :] for dy in range(f) for dx in range(f)]
-        return np.concatenate(cols, axis=3).reshape(n * h * w, f * f * cin)
+        win = sliding_window_view(xp, (f, f), axis=(1, 2))   # (n, h, w, cin, f, f)
+        return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, f * f * cin)
 
     def forward(self, x: np.ndarray, want_cache: bool):
         n = x.shape[0]
         h, w, _ = self.out_shape
         cols = self._im2col(x)
-        z = (cols @ self.w + self.b).reshape(n, h, w, self.spec.out_channels)
-        y, zc = _apply_activation(self.spec.activation, z)
+        z = cols @ self.w
+        z += self.b
+        y, zc = _apply_activation(self.spec.activation, z.reshape(n, h, w, -1))
         return y, ((cols, zc, n) if want_cache else None)
 
-    def backward(self, cache, g: np.ndarray):
+    def backward(self, cache, g: np.ndarray, input_grad: bool = True):
         cols, zc, n = cache
         h, w, cin = self.in_shape
         f, p = self.f, self.pad
         g = _activation_backward(self.spec.activation, g, zc)
         g_flat = g.reshape(n * h * w, self.spec.out_channels)
-        grad_w = cols.T @ g_flat
-        grad_b = g_flat.sum(axis=0)
+        grads = [cols.T @ g_flat, g_flat.sum(axis=0)]
+        if not input_grad:
+            return None, grads
         g_cols = (g_flat @ self.w.T).reshape(n, h, w, f * f, cin)
         g_pad = np.zeros((n, h + 2 * p, w + 2 * p, cin), dtype=g.dtype)
         for i, (dy, dx) in enumerate((dy, dx) for dy in range(f) for dx in range(f)):
             g_pad[:, dy:dy + h, dx:dx + w, :] += g_cols[:, :, :, i, :]
-        return g_pad[:, p:p + h, p:p + w, :], [grad_w, grad_b]
+        return g_pad[:, p:p + h, p:p + w, :], grads
 
 
 class _MaxPool2:
@@ -160,26 +168,44 @@ class _MaxPool2:
         self.spec = spec
         self.in_shape = in_shape
         self.out_shape = (h // 2, w // 2, c)
+        # flat offset, within one input sample, of each window's (0,0)
+        # element, and of the four window positions relative to it
+        self._corner = (np.arange(0, h * w * c, 2 * w * c)[:, None, None]
+                        + np.arange(0, w * c, 2 * c)[:, None] + np.arange(c))
+        self._step = np.array([0, c, w * c, w * c + c])
 
     params: list = []
 
     def forward(self, x: np.ndarray, want_cache: bool):
-        n = x.shape[0]
-        h2, w2, c = self.out_shape
-        # windows ordered (0,0),(0,1),(1,0),(1,1): argmax ties go to the
-        # first element in row-major scan order
-        win = x.reshape(n, h2, 2, w2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h2, w2, 4, c)
-        arg = np.argmax(win, axis=3)
-        y = np.take_along_axis(win, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-        return y, ((arg, n) if want_cache else None)
+        # the window in row-major order: (0,0), (0,1), (1,0), (1,1)
+        win = (x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2])
+        # operands in reverse window order: numpy's SIMD maximum returns its
+        # second operand on equal values, so 0.0 tied with -0.0 pools to the
+        # first of them, as argmax picks it
+        y = np.maximum(np.maximum(win[3], win[2]), np.maximum(win[1], win[0]))
+        if not want_cache:
+            return y, None
+        # index of the first maximum in window order, as argmax picks it:
+        # the count of leading positions that differ from the maximum
+        before = win[0] != y
+        arg = before.astype(np.int8)
+        for i in (1, 2):
+            before &= win[i] != y
+            arg += before
+        return y, (arg, x.shape[0])
 
-    def backward(self, cache, g: np.ndarray):
+    def backward(self, cache, g: np.ndarray, input_grad: bool = True):
+        if not input_grad:
+            return None, []
         arg, n = cache
-        h2, w2, c = self.out_shape
-        g_win = np.zeros((n, h2, w2, 4, c), dtype=g.dtype)
-        np.put_along_axis(g_win, arg[:, :, :, None, :], g[:, :, :, None, :], axis=3)
-        g_in = g_win.reshape(n, h2, w2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
-        return g_in.reshape(n, h2 * 2, w2 * 2, c), []
+        h, w, c = self.in_shape
+        # one scatter of each pooled gradient to its window's chosen element
+        pos = self._step[arg]
+        pos += self._corner
+        pos += np.arange(0, n * h * w * c, h * w * c)[:, None, None, None]
+        g_in = np.zeros((n, h, w, c), dtype=g.dtype)
+        g_in.reshape(-1)[pos] = g
+        return g_in, []
 
 
 class _Flatten:
@@ -193,8 +219,8 @@ class _Flatten:
     def forward(self, x: np.ndarray, want_cache: bool):
         return x.reshape(x.shape[0], -1), (x.shape if want_cache else None)
 
-    def backward(self, cache, g: np.ndarray):
-        return g.reshape(cache), []
+    def backward(self, cache, g: np.ndarray, input_grad: bool = True):
+        return (g.reshape(cache) if input_grad else None), []
 
 
 class _Dense:
@@ -217,14 +243,15 @@ class _Dense:
         return [self.w, self.b]
 
     def forward(self, x: np.ndarray, want_cache: bool):
-        z = x @ self.w + self.b
+        z = x @ self.w
+        z += self.b
         y, zc = _apply_activation(self.spec.activation, z)
         return y, ((x, zc) if want_cache else None)
 
-    def backward(self, cache, g: np.ndarray):
+    def backward(self, cache, g: np.ndarray, input_grad: bool = True):
         x, zc = cache
         g = _activation_backward(self.spec.activation, g, zc)
-        return g @ self.w.T, [x.T @ g, g.sum(axis=0)]
+        return (g @ self.w.T if input_grad else None), [x.T @ g, g.sum(axis=0)]
 
 
 _LAYER_KINDS = {"conv2d": _Conv2d, "maxpool2": _MaxPool2, "flatten": _Flatten, "dense": _Dense}
@@ -300,8 +327,9 @@ class EmbeddingNet:
             raise ValueError("stale_cache: forward was run without want_cache")
         g = np.asarray(grad_out, dtype=self.dtype)
         grads: list[np.ndarray] = []
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            g, layer_grads = layer.backward(cache, g)
+        for i in reversed(range(len(self.layers))):
+            # the gradient wrt the network input is never used
+            g, layer_grads = self.layers[i].backward(caches[i], g, input_grad=i > 0)
             grads = layer_grads + grads
         return grads
 

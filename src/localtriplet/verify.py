@@ -36,6 +36,8 @@ class OptimalConditionReport:
     violations: list[Violation]
     skipped_anchors: list[int]   # anchors whose class has < k+1 samples
     n_checked: int
+    # (n,) each anchor's distance to its kth nearest other point
+    d_ak: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def worst_residual(self) -> float:
@@ -91,7 +93,7 @@ def check_optimal_condition(embeddings, labels, k: int, c_b: float, eps: float
                   for a in np.flatnonzero(checked & (min_neg < rhs))]
     return OptimalConditionReport(violations=violations,
                                   skipped_anchors=np.flatnonzero(~checked).tolist(),
-                                  n_checked=int(np.sum(checked)))
+                                  n_checked=int(np.sum(checked)), d_ak=d_ak)
 
 
 def _d_ak(x: np.ndarray, k: int) -> np.ndarray:
@@ -99,22 +101,27 @@ def _d_ak(x: np.ndarray, k: int) -> np.ndarray:
     return topk(x, x, k, exclude=np.arange(x.shape[0]))[1][:, -1]
 
 
-def purity_check(train_embeddings, train_labels, query_embeddings, k: int
-                 ) -> PurityReport:
+def purity_check(train_embeddings, train_labels, query_embeddings, k: int,
+                 d_ak=None) -> PurityReport:
     """Classify each query as outlier, pure, or impure.
 
     A query is an outlier when it lies farther from its nearest anchor
     than that anchor's kth-neighbor radius; otherwise it is pure iff its
     k nearest training points all carry the nearest anchor's label.
+    d_ak, if given, holds those radii for the same k (as computed by
+    check_optimal_condition), so the training points are not scanned again.
     """
     x = as_sample_matrix(train_embeddings)
     q = as_sample_matrix(query_embeddings)
     labels = np.asarray(train_labels, dtype=np.int64)
     if labels.shape != (x.shape[0],):
         raise ValueError(f"label_mismatch: {x.shape[0]} points vs {labels.shape} labels")
+    d_ak = _d_ak(x, k) if d_ak is None else np.asarray(d_ak, dtype=np.float64)
+    if d_ak.shape != (x.shape[0],):
+        raise ValueError(f"shape_mismatch: d_ak {d_ak.shape} for {x.shape[0]} points")
     ids, dists = topk(q, x, k)
     anchors = ids[:, 0]              # ties resolved to the lowest id
-    outlier = dists[:, 0] > _d_ak(x, k)[anchors]
+    outlier = dists[:, 0] > d_ak[anchors]
     pure = np.all(labels[ids] == labels[anchors][:, None], axis=1)
     status = np.where(outlier, "outlier", np.where(pure, "pure", "impure")).tolist()
     return PurityReport(n_queries=q.shape[0], pure_count=status.count("pure"),

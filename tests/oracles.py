@@ -154,3 +154,71 @@ def scalar_sample_hard(embeddings, labels, anchor):
     p = int(np.argmax(np.where(pos_mask, sq, -np.inf)))
     n = int(np.argmin(np.where(neg_mask, sq, np.inf)))
     return anchor, p, n
+
+
+# Reference layer kernels: the straightforward numpy forms the network's
+# kernels replaced. Same arithmetic, same order of additions, so the fast
+# kernels must match them bit for bit.
+
+LEAKY_SLOPE = 0.01
+
+
+def leaky_relu_backward_by_mask(g, z):
+    """g times a float derivative mask: 1 where z > 0, else the slope."""
+    return g * np.where(z > 0.0, z.dtype.type(1.0), z.dtype.type(LEAKY_SLOPE))
+
+
+def im2col_by_concat(x, f):
+    """Zero-padded same-size windows of an (n, H, W, C) batch, one row per
+    output pixel, columns in (dy, dx, c) order, built from f*f slices."""
+    n, h, w, cin = x.shape
+    p = f // 2
+    xp = np.zeros((n, h + 2 * p, w + 2 * p, cin), dtype=x.dtype)
+    xp[:, p:p + h, p:p + w, :] = x
+    cols = [xp[:, dy:dy + h, dx:dx + w, :] for dy in range(f) for dx in range(f)]
+    return np.concatenate(cols, axis=3).reshape(n * h * w, f * f * cin)
+
+
+def conv2d_reference(x, w, b, f, activation):
+    """Forward of a same-padding stride-1 conv: (y, z) with z the
+    pre-activation (None without an activation) and the im2col matrix."""
+    n, h, wd, _ = x.shape
+    cols = im2col_by_concat(x, f)
+    z = (cols @ w + b).reshape(n, h, wd, w.shape[1])
+    if activation == "none":
+        return z, None, cols
+    return np.maximum(LEAKY_SLOPE * z, z), z, cols
+
+
+def conv2d_backward_reference(cols, z, w, g, f, in_shape):
+    """(input gradient, [grad_w, grad_b]) of conv2d_reference, the input
+    gradient summed back over the f*f window offsets in row-major order."""
+    n, (h, wd, cin), p = g.shape[0], in_shape, f // 2
+    if z is not None:
+        g = leaky_relu_backward_by_mask(g, z)
+    g_flat = g.reshape(n * h * wd, w.shape[1])
+    grads = [cols.T @ g_flat, g_flat.sum(axis=0)]
+    g_cols = (g_flat @ w.T).reshape(n, h, wd, f * f, cin)
+    g_pad = np.zeros((n, h + 2 * p, wd + 2 * p, cin), dtype=g.dtype)
+    for i, (dy, dx) in enumerate((dy, dx) for dy in range(f) for dx in range(f)):
+        g_pad[:, dy:dy + h, dx:dx + wd, :] += g_cols[:, :, :, i, :]
+    return g_pad[:, p:p + h, p:p + wd, :], grads
+
+
+def maxpool2_by_argmax(x):
+    """2x2 stride-2 max pooling by argmax over the transposed window view:
+    (y, arg) with arg the first maximum's index in row-major window order."""
+    n, h, w, c = x.shape
+    win = x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
+    win = win.reshape(n, h // 2, w // 2, 4, c)
+    arg = np.argmax(win, axis=3)
+    return np.take_along_axis(win, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :], arg
+
+
+def maxpool2_backward_reference(arg, g):
+    """Route each pooled gradient to its window's recorded position."""
+    n, h2, w2, c = g.shape
+    g_win = np.zeros((n, h2, w2, 4, c), dtype=g.dtype)
+    np.put_along_axis(g_win, arg[:, :, :, None, :], g[:, :, :, None, :], axis=3)
+    g_in = g_win.reshape(n, h2, w2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
+    return g_in.reshape(n, h2 * 2, w2 * 2, c)

@@ -1,0 +1,143 @@
+"""The network's conv, pool and activation kernels against the reference
+kernels in oracles.py: forward outputs, caches and every gradient must be
+equal, not merely close."""
+import numpy as np
+import pytest
+
+from localtriplet.network import (
+    EmbeddingNet,
+    _activation_backward,
+    conv2d,
+    flatten,
+    maxpool2,
+    mnist_cnn,
+)
+from oracles import (
+    conv2d_backward_reference,
+    conv2d_reference,
+    leaky_relu_backward_by_mask,
+    maxpool2_backward_reference,
+    maxpool2_by_argmax,
+)
+
+DTYPES = ("float64", "float32")
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("activation", ["leaky_relu", "none"])
+@pytest.mark.parametrize("cin", [1, 3])
+@pytest.mark.parametrize("f", [1, 3, 5])
+@pytest.mark.parametrize("rounded", [False, True])
+def test_conv2d_matches_reference(f, cin, activation, dtype, rounded):
+    rng = np.random.default_rng(100 * f + 10 * cin + rounded)
+    net = EmbeddingNet((6, 8, cin), [conv2d(4, f, activation=activation), flatten()],
+                       seed=f + cin, dtype=dtype)
+    layer = net.layers[0]
+    x = rng.standard_normal((3, 6, 8, cin))
+    b = rng.standard_normal(4)
+    if rounded:
+        # dyadic inputs and weights, zero bias: many pre-activations are exactly 0
+        x = np.round(2 * x) / 2
+        layer.w[...] = np.round(4 * layer.w) / 4
+        b[:] = 0.0
+    x = x.astype(dtype)
+    layer.b[...] = b
+    y, cache = layer.forward(x, want_cache=True)
+    want_y, want_z, want_cols = conv2d_reference(x, layer.w, layer.b, f, activation)
+    assert y.dtype == want_y.dtype and np.array_equal(y, want_y)
+    cols, zc, n = cache
+    assert n == 3 and np.array_equal(cols, want_cols)
+    assert (zc is None) == (want_z is None)
+    assert zc is None or np.array_equal(zc, want_z)
+    assert np.array_equal(layer.forward(x, want_cache=False)[0], want_y)
+
+    g = rng.standard_normal(y.shape).astype(dtype)
+    if rounded:
+        g[0] = 1.0
+    g_in, grads = layer.backward(cache, g)
+    want_g_in, want_grads = conv2d_backward_reference(want_cols, want_z, layer.w, g, f,
+                                                      (6, 8, cin))
+    assert g_in.dtype == want_g_in.dtype and np.array_equal(g_in, want_g_in)
+    for got, want in zip(grads, want_grads, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    none, first_grads = layer.backward(cache, g, input_grad=False)
+    assert none is None
+    for got, want in zip(first_grads, want_grads, strict=True):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_leaky_relu_backward_matches_mask_multiply(dtype):
+    z = np.array([[0.0, -0.0, 1e-30, -1e-30, np.inf, -np.inf, np.nan, 2.5, -2.5],
+                  [3.0, -3.0, 0.0, 1.0, -1.0, 0.0, -0.0, 7.0, -7.0]], dtype=dtype)
+    g = np.array([[1.5, -2.0, 3.0, np.inf, -0.0, 0.0, 1e-3, -7.0, np.nan],
+                  [-0.0, 2.0, -np.inf, 4.0, 5.0, 0.0, 6.0, 1e-30, -1e-30]], dtype=dtype)
+    g = np.concatenate([g, np.random.default_rng(1).standard_normal((50, 9)).astype(dtype)])
+    z = np.concatenate([z, np.random.default_rng(2).standard_normal((50, 9)).astype(dtype)])
+    got = _activation_backward("leaky_relu", g, z)
+    want = leaky_relu_backward_by_mask(g, z)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert _activation_backward("none", g, None) is g
+
+
+def _pool_inputs(dtype):
+    rng = np.random.default_rng(7)
+    rounded = np.round(rng.standard_normal((3, 8, 6, 5)), 1)       # ties in most windows
+    coarse = rng.integers(-1, 2, size=(2, 4, 4, 3)).astype(float)  # ties almost everywhere
+    equal = np.full((2, 4, 6, 2), -1.5)                              # all-equal windows
+    zeros = np.zeros((1, 4, 4, 2))                                   # mixed 0.0 and -0.0
+    zeros[0, 0::2, 1::2] = -0.0
+    zeros[0, 1::2, :, 1] = -0.0
+    zeros[0, 2:, 2:, 0] = -1.0
+    return [a.astype(dtype) for a in (rounded, coarse, equal, zeros)]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_maxpool2_matches_argmax_reference(dtype):
+    for case, x in enumerate(_pool_inputs(dtype)):
+        net = EmbeddingNet(x.shape[1:], [maxpool2(), flatten()], seed=0, dtype=dtype)
+        layer = net.layers[0]
+        y, cache = layer.forward(x, want_cache=True)
+        want_y, want_arg = maxpool2_by_argmax(x)
+        assert y.dtype == want_y.dtype and np.array_equal(y, want_y), case
+        arg, n = cache
+        assert n == x.shape[0] and np.array_equal(arg, want_arg), case
+        assert np.array_equal(layer.forward(x, want_cache=False)[0], want_y), case
+        g = np.random.default_rng(case).standard_normal(y.shape).astype(dtype)
+        g_in, grads = layer.backward(cache, g)
+        assert grads == []
+        assert np.array_equal(g_in, maxpool2_backward_reference(want_arg, g)), case
+
+
+def test_pool_backward_routes_to_first_max_in_row_major_order():
+    net = EmbeddingNet((2, 8, 1), [maxpool2(), flatten()], seed=0)
+    pool = net.layers[0]
+    # four 2x2 windows side by side: a tie between (0,1) and (1,0), a tie
+    # between (1,0) and (1,1), an all-equal window, and -0.0 tied with 0.0
+    x = np.array([[[2.0, 5.0, 1.0, 0.0, 4.0, 4.0, -0.0, 0.0],
+                   [5.0, 1.0, 3.0, 3.0, 4.0, 4.0, 0.0, -1.0]]]).reshape(1, 2, 8, 1)
+    y, cache = pool.forward(x, want_cache=True)
+    assert y.ravel().tolist() == [5.0, 3.0, 4.0, 0.0]
+    g_in, _ = pool.backward(cache, np.array([10.0, 20.0, 30.0, 40.0]).reshape(1, 1, 4, 1))
+    want = np.array([[0.0, 10.0, 0.0, 0.0, 30.0, 0.0, 40.0, 0.0],
+                     [0.0, 0.0, 20.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    assert np.array_equal(g_in.reshape(2, 8), want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_network_backward_skips_only_the_input_gradient(dtype):
+    rng = np.random.default_rng(3)
+    net = EmbeddingNet((28, 28, 1), mnist_cnn(), seed=5, dtype=dtype)
+    x = rng.random((3, 28, 28, 1)).astype(dtype)
+    emb, caches = net.forward(x)
+    g = rng.standard_normal(emb.shape).astype(dtype)
+    grads = net.backward(caches, g)
+    # the same chain with every layer asked for its input gradient
+    want = []
+    for layer, cache in zip(reversed(net.layers), reversed(caches)):
+        g, layer_grads = layer.backward(cache, g)
+        want = layer_grads + want
+    assert g.shape == x.shape
+    for got, ref in zip(grads, want, strict=True):
+        assert np.array_equal(got, ref)

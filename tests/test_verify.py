@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from localtriplet.knn import topk
 from localtriplet.verify import (
     check_optimal_condition,
     corollary_margin_check,
@@ -104,6 +105,25 @@ def test_impure_when_neighborhoods_mix():
 
 
 # ---------------------------------------------------------------- corollary
+
+def test_purity_reuses_the_condition_check_radii():
+    # ties: coarse grid points make many kth distances coincide
+    rng = np.random.default_rng(5)
+    pts = np.round(rng.standard_normal((90, 3)), 0)
+    labels = rng.integers(0, 3, size=90)
+    queries = np.round(rng.standard_normal((40, 3)) * 1.5, 1)
+    for k in (1, 4, 9):
+        report = check_optimal_condition(pts, labels, k=k, c_b=3.0, eps=1e-3)
+        kth = topk(pts, pts, k, exclude=np.arange(90))[1][:, -1]
+        assert report.d_ak.tobytes() == kth.tobytes()
+        fresh = purity_check(pts, labels, queries, k)
+        reused = purity_check(pts, labels, queries, k, d_ak=report.d_ak)
+        assert reused.query_status == fresh.query_status
+        assert np.array_equal(reused.nearest_anchor, fresh.nearest_anchor)
+        assert 0 < fresh.outlier_count < 40
+    with pytest.raises(ValueError, match="shape_mismatch"):
+        purity_check(pts, labels, queries, 4, d_ak=report.d_ak[:-1])
+
 
 def test_corollary_large_margin_sufficient():
     rng = np.random.default_rng(3)
