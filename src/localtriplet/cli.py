@@ -340,9 +340,10 @@ def _train_into(out_dir: Path, opts: dict):
     lines: list[str] = []
     net, reports, reason = train(net, config, train_ds, val=val_ds,
                                  log_fn=lambda r: lines.append(r.to_json_line()))
-    (out_dir / "epochs.jsonl").write_text("".join(line + "\n" for line in lines))
-    (out_dir / "timings.jsonl").write_text(
-        "".join(r.timing_json_line() + "\n" for r in reports))
+    with atomic_open(out_dir / "epochs.jsonl", "w") as f:
+        f.write("".join(line + "\n" for line in lines))
+    with atomic_open(out_dir / "timings.jsonl", "w") as f:
+        f.write("".join(r.timing_json_line() + "\n" for r in reports))
     save_checkpoint(out_dir / "checkpoint.npz", net,
                     extra={"method": config.method, "k": config.k,
                            "stop_reason": reason, "epochs_run": len(reports)})
@@ -489,7 +490,7 @@ def cmd_compare(ns: argparse.Namespace) -> int:
         accuracy, _p, _c = evaluate_knn(net, train_ds, test_ds, k)
         rows.append((method, accuracy, len(reports), reason))
         print(f"{method:12s} accuracy {accuracy:.4f} ({len(reports)} epochs, {reason})")
-    with open(out_dir / "compare.csv", "w") as f:
+    with atomic_open(out_dir / "compare.csv", "w") as f:
         f.write("method,accuracy,epochs,stop_reason\n")
         for method, acc, n_ep, reason in rows:
             f.write(f"{method},{acc!r},{n_ep},{reason}\n")

@@ -2,8 +2,10 @@
 
 Everything here works on float64 numpy arrays and is pure: no learning
 logic, no hidden state. Squared distances are an elementwise difference,
-square, and sum, so single-pair, row-wise, pairwise and knn.topk results
-are bit-identical (each reduces a contiguous run of the same values).
+square, and sum, so single-pair, row-wise, pairwise and the distances that
+knn's kernel returns are bit-identical (each reduces a contiguous run of
+the same values). The Gram form |a|^2 + |b|^2 - 2 a.b is faster but not
+bit-identical; knn uses it only to choose which pairs to recompute.
 """
 from __future__ import annotations
 
@@ -76,8 +78,10 @@ def pairwise_sq_dists_gram(points: np.ndarray) -> np.ndarray:
 
     Faster than the exact path for large n but subject to cancellation
     noise around zero; results are clamped at 0. Not bit-identical to
-    sq_dist, so no neighbor computation uses it: every neighbor query
-    goes through the exact kernel in knn.topk.
+    sq_dist. knn.screen computes the same form blockwise on mean-centred
+    points, only to pick candidates within a rounding bound of each
+    order statistic, and recomputes those with the exact arithmetic; no
+    neighbor result comes from this function.
     """
     points = as_sample_matrix(points)
     sq_norms = np.sum(points * points, axis=1)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import NeighborhoodSnapshot, distance_blocks
+from .knn import NeighborhoodSnapshot, screen
 
 
 @dataclass(frozen=True)
@@ -160,14 +160,16 @@ def mine_hard(embeddings, labels, anchors) -> np.ndarray:
     _Classes(labels).check(anchors)
     out = np.empty((anchors.size, 3), dtype=np.int64)
     out[:, 0] = anchors
-    for lo, hi, sq in distance_blocks(emb[anchors], emb, metric="sq_euclidean"):
-        a = anchors[lo:hi]
+    for blk in screen(emb[anchors], emb):
+        a = anchors[blk.lo:blk.hi]
         same = labels[a][:, None] == labels
         peer = same.copy()
-        peer[np.arange(hi - lo), a] = False
+        peer[np.arange(a.size), a] = False
         # np.argmax/argmin return the first (lowest-index) extremum
-        out[lo:hi, 1] = np.argmax(np.where(peer, sq, -np.inf), axis=1)
-        out[lo:hi, 2] = np.argmin(np.where(same, np.inf, sq), axis=1)
+        pos = blk.exact(blk.largest(peer), -np.inf, "sq_euclidean")
+        neg = blk.exact(blk.smallest(0, ~same), np.inf, "sq_euclidean")
+        out[blk.lo:blk.hi, 1] = np.argmax(pos, axis=1)
+        out[blk.lo:blk.hi, 2] = np.argmin(neg, axis=1)
     return out
 
 

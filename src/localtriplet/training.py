@@ -15,6 +15,8 @@ config drives every shuffle and draw in a fixed order.
 from __future__ import annotations
 
 import json
+import resource
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -66,9 +68,10 @@ class EpochReport:
     """Per-epoch observability record.
 
     Snapshot fields and hinge fraction are None for methods that do not
-    produce them. wall_time and phase_times (seconds per PHASES entry) are
-    excluded from comparison and from to_json_line, so logs of reruns stay
-    byte-identical.
+    produce them. wall_time, phase_times (seconds per PHASES entry) and
+    peak_rss_mb (the process's peak resident memory at the end of the
+    epoch) are excluded from comparison and from to_json_line, so logs of
+    reruns stay byte-identical.
     """
 
     epoch: int
@@ -81,19 +84,29 @@ class EpochReport:
     val_accuracy: float | None = None
     wall_time: float = field(default=0.0, compare=False)
     phase_times: dict | None = field(default=None, compare=False)
+    peak_rss_mb: float | None = field(default=None, compare=False)
 
     def to_json_line(self, include_wall_time: bool = False) -> str:
         d = {k: v for k, v in self.__dict__.items() if v is not None}
         d.pop("phase_times", None)
+        d.pop("peak_rss_mb", None)
         if not include_wall_time:
             d.pop("wall_time", None)
         return json.dumps(d, sort_keys=True)
 
     def timing_json_line(self) -> str:
-        """The epoch's wall and per-phase seconds as one JSON line."""
-        d = {"epoch": self.epoch, "wall_s": self.wall_time}
+        """The epoch's wall and per-phase seconds and peak memory as one
+        JSON line."""
+        d = {"epoch": self.epoch, "wall_s": self.wall_time, "peak_rss_mb": self.peak_rss_mb}
         d.update((f"{phase}_s", s) for phase, s in (self.phase_times or {}).items())
         return json.dumps(d, sort_keys=True)
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident set size so far, in MiB (ru_maxrss is
+    KiB on Linux, bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 def resolve_k(config: TrainConfig, n_train: int) -> int:
@@ -224,6 +237,7 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
         mean_d_ak_pos=snapshot.mean_d_ak_pos() if snapshot is not None else None,
         wall_time=wall_time,
         phase_times=phases,
+        peak_rss_mb=_peak_rss_mb(),
     )
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .knn import distance_blocks, topk
+from .atomic import atomic_open
+from .knn import screen, topk
 from .mathops import as_sample_matrix
 
 
@@ -76,13 +77,17 @@ def check_optimal_condition(embeddings, labels, k: int, c_b: float, eps: float
     if not (1 <= k <= n - 1):
         raise ValueError(f"k_exceeds_n: k={k}, n={n}")
     d_ak, max_pos, min_neg = np.empty((3, n))
-    # one pass; each anchor's own entry is NaN, so it is neither a
-    # positive nor among the k nearest
-    for lo, hi, dist in distance_blocks(x, x, exclude=np.arange(n)):
-        same = labels[lo:hi, None] == labels[None, :]
-        d_ak[lo:hi] = np.partition(dist, k - 1, axis=1)[:, k - 1]
-        max_pos[lo:hi] = np.max(np.where(same & np.isfinite(dist), dist, -np.inf), axis=1)
-        min_neg[lo:hi] = np.min(np.where(same, np.inf, dist), axis=1)
+    for blk in screen(x, x):
+        rows = np.arange(blk.lo, blk.hi)
+        own = (rows - blk.lo, rows)
+        d_ak[rows] = blk.nearest(k, own)[1][:, -1]
+        other = labels[rows, None] != labels
+        peers = ~other
+        peers[own] = False
+        pos = blk.exact(blk.largest(peers), -np.inf, "euclidean")
+        # an overflowed (infinite) distance counts as no positive
+        max_pos[rows] = np.max(np.where(np.isfinite(pos), pos, -np.inf), axis=1)
+        min_neg[rows] = np.min(blk.exact(blk.smallest(0, other), np.inf, "euclidean"), axis=1)
 
     _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     checked = counts[inverse] >= k + 1
@@ -175,7 +180,7 @@ def write_scatter_csv(path, xy: np.ndarray, labels, status=None, ids=None) -> No
         ids = range(n)
     if status is None:
         status = [""] * n
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["query_id", "x", "y", "label", "status"])
         for i, (qid, row, lab, st) in enumerate(zip(ids, xy, labels, status)):
@@ -183,7 +188,7 @@ def write_scatter_csv(path, xy: np.ndarray, labels, status=None, ids=None) -> No
 
 
 def write_violations_csv(path, report: OptimalConditionReport) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["anchor", "residual", "d_ak", "max_pos_dist", "min_neg_dist"])
         for v in report.violations:

@@ -222,3 +222,103 @@ def maxpool2_backward_reference(arg, g):
     np.put_along_axis(g_win, arg[:, :, :, None, :], g[:, :, :, None, :], axis=3)
     g_in = g_win.reshape(n, h2, w2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
     return g_in.reshape(n, h2 * 2, w2 * 2, c)
+
+
+# Exhaustive neighbor reference: the blocked full scan that the screened
+# kernel in localtriplet.knn replaced. Every pair's distance is computed
+# with the pinned arithmetic and every statistic is taken over full rows,
+# so the screen must reproduce these results bit for bit.
+
+REFERENCE_BLOCK = 1 << 18   # query rows * points * dim float64s per block
+
+
+def distance_blocks(q, p, metric="euclidean", exclude=None):
+    """Yield (lo, hi, dist): the (hi - lo, n) distances from rows lo:hi of
+    q to every row of p, each np.sum(d * d) over d = query - point,
+    square-rooted for the euclidean metric before any ranking. exclude
+    holds one point id per query row; that entry is NaN, which every
+    comparison rejects and every sort puts last."""
+    q = np.asarray(q, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    m, (n, dim) = q.shape[0], p.shape
+    rows = max(1, REFERENCE_BLOCK // (n * dim))
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        d = q[lo:hi, None, :] - p[None, :, :]
+        dist = np.sum(d * d, axis=2)
+        if metric == "euclidean":
+            dist = np.sqrt(dist)
+        if exclude is not None:
+            dist[np.arange(hi - lo), np.asarray(exclude)[lo:hi]] = np.nan
+        yield lo, hi, dist
+
+
+def select_k(dist, k):
+    """(ids, dists): each row's k smallest entries in ascending (distance,
+    id) order, ties at the kth boundary resolved by a full lexsort of every
+    entry at or below the row's kth value."""
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero(dist <= kth)
+    vals = dist[rows, cols]
+    order = np.lexsort((cols, vals, rows))
+    starts = np.searchsorted(rows, np.arange(dist.shape[0]))
+    take = order[starts[:, None] + np.arange(k)]
+    return cols[take], vals[take]
+
+
+def exhaustive_topk(queries, points, k, exclude=None, metric="euclidean"):
+    q = np.asarray(queries, dtype=np.float64)
+    ids = np.empty((q.shape[0], k), dtype=np.int64)
+    dists = np.empty((q.shape[0], k))
+    for lo, hi, dist in distance_blocks(q, points, metric, exclude):
+        ids[lo:hi], dists[lo:hi] = select_k(dist, k)
+    return ids, dists
+
+
+def exhaustive_snapshot(points, labels, k):
+    """(neighbor_ids, d_ak, d_ak_pos, has_positive) of a snapshot: d_ak_pos
+    is the kth same-class distance, or the farthest peer's when the class
+    has k or fewer other members, NaN without a peer."""
+    labels = np.asarray(labels)
+    n = labels.size
+    neighbor_ids, d_ak = exhaustive_topk(points, points, k, exclude=np.arange(n))
+    d_ak_pos = np.full(n, np.nan)
+    for lo, hi, dist in distance_blocks(points, points, exclude=np.arange(n)):
+        for i in range(lo, hi):
+            peers = np.flatnonzero(labels == labels[i])
+            within = np.sort(dist[i - lo, peers[peers != i]])
+            if within.size:
+                d_ak_pos[i] = within[min(k, within.size) - 1]
+    return neighbor_ids, d_ak[:, -1], d_ak_pos, ~np.isnan(d_ak_pos)
+
+
+def exhaustive_condition_terms(x, labels, k):
+    """(d_ak, max_pos, min_neg) of the optimal-condition check: the kth
+    nearest distance, the largest finite same-class distance (-inf without
+    one) and the smallest other-class distance (inf without one)."""
+    labels = np.asarray(labels)
+    n = labels.size
+    d_ak, max_pos, min_neg = np.empty((3, n))
+    for lo, hi, dist in distance_blocks(x, x, exclude=np.arange(n)):
+        same = labels[lo:hi, None] == labels[None, :]
+        d_ak[lo:hi] = np.partition(dist, k - 1, axis=1)[:, k - 1]
+        max_pos[lo:hi] = np.max(np.where(same & np.isfinite(dist), dist, -np.inf), axis=1)
+        min_neg[lo:hi] = np.min(np.where(same, np.inf, dist), axis=1)
+    return d_ak, max_pos, min_neg
+
+
+def exhaustive_mine_hard(embeddings, labels, anchors):
+    """(anchor, positive, negative) rows: the largest peer and the smallest
+    other-class squared distance, each the first (lowest-index) extremum."""
+    labels = np.asarray(labels)
+    anchors = np.asarray(anchors, dtype=np.int64)
+    out = np.empty((anchors.size, 3), dtype=np.int64)
+    out[:, 0] = anchors
+    for lo, hi, sq in distance_blocks(embeddings[anchors], embeddings, "sq_euclidean"):
+        a = anchors[lo:hi]
+        same = labels[a][:, None] == labels
+        peer = same.copy()
+        peer[np.arange(hi - lo), a] = False
+        out[lo:hi, 1] = np.argmax(np.where(peer, sq, -np.inf), axis=1)
+        out[lo:hi, 2] = np.argmin(np.where(same, np.inf, sq), axis=1)
+    return out

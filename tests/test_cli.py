@@ -40,9 +40,19 @@ def test_train_writes_phase_timings(tmp_path):
     rows = [json.loads(line) for line in (out / "timings.jsonl").read_text().splitlines()]
     assert [row.pop("epoch") for row in rows] == [0, 1]
     for row in rows:
+        assert row.pop("peak_rss_mb") > 0.0
         assert set(row) == {"wall_s", "embed_s", "snapshot_s", "mine_s", "optimize_s"}
         assert row["wall_s"] == pytest.approx(sum(row.values()) - row["wall_s"])
         assert min(row.values()) >= 0.0
+
+
+def test_train_records_peak_memory_in_timings_only(tmp_path):
+    out = _train_run(tmp_path)
+    peaks = [json.loads(line)["peak_rss_mb"]
+             for line in (out / "timings.jsonl").read_text().splitlines()]
+    assert len(peaks) == 2 and 0.0 < peaks[0] <= peaks[1]   # a running maximum
+    for line in (out / "epochs.jsonl").read_text().splitlines():
+        assert "peak_rss_mb" not in json.loads(line)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
