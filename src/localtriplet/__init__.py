@@ -13,7 +13,6 @@ from .knn import (
     NeighborhoodSnapshot,
     build_index,
     choose_k,
-    is_outlier,
     knn_classify,
     query_knn,
     take_snapshot,

@@ -9,19 +9,43 @@ with GPUs*, arXiv 1702.08734, with the re-rank added):
 1. For a block of query rows, one GEMM on mean-centred points gives an
    estimate e_ij of every squared distance, with a per-row rounding bound
    |e_ij - s_ij| <= B_i, where s_ij is the pinned value below.
-2. For each order statistic asked for (the kth smallest, the kth smallest
-   same-class, the largest same-class, the smallest other-class), the row's
-   statistic E_i is taken over the estimates, and every column with
-   e_ij <= E_i + 2*B_i (>= E_i - 2*B_i for the largest) is a candidate.
-   The k columns at or below E_i have s <= E_i + B_i, so the exact kth
-   value is at most E_i + B_i and every column that can rank at or before
-   it has e <= E_i + 2*B_i. An estimate, statistic or bound that is not
-   finite keeps every column it touches.
+2. For each order statistic asked for, the row's statistic E_i is taken
+   over the estimates, and every column with e_ij <= E_i + 2*B_i
+   (>= E_i - 2*B_i for a largest value) is a candidate. The k columns at
+   or below E_i have s <= E_i + B_i, so the exact kth value is at most
+   E_i + B_i and every column that can rank at or before it has
+   e <= E_i + 2*B_i. An estimate, statistic or bound that is not finite
+   keeps every column it touches.
 3. Candidates are recomputed with the pinned diff-square-sum arithmetic,
    np.sum(d * d) over d = query - point, so each distance is bit-identical
    to ``mathops.sq_dist``, and ranked in ascending (distance, id) order.
 
 The results equal an exhaustive sorted scan for every n, ties included.
+
+Class-conditioned statistics (the snapshot's kth nearest and kth nearest
+same-class, the optimal-condition check's largest same-class and smallest
+other-class distance, batch-hard mining) use a class-sorted layout: the
+points are sorted once per call by (label, id), so each class is one
+contiguous slab of columns and the query rows of a class are adjacent.
+
+* The slab bound. S_i, the kth smallest estimate over row i's slab, is the
+  statistic of its kth same-class neighbor, and since the slab is a subset
+  of the row it is at least E_i, the kth smallest over all columns. The
+  exact kth value of either is at most S_i + B_i, so one compare,
+  e_ij <= S_i + 2*B_i over the row, keeps every candidate of both.
+* The fallback rule. With overlapping classes S_i lies far above E_i and
+  that compare keeps many other-class columns. Where a block keeps more
+  than 2k columns a row, E_i is taken over the full rows and the columns
+  kept are e_ij <= E_i + 2*B_i together with the slab's e_ij <= S_i +
+  2*B_i. A class with k or fewer members has no S_i: its rows take E_i and
+  keep their whole slab, since their d_ak_pos is the farthest peer.
+* The largest same-class value is read as a max over the slab, the
+  smallest other-class value as a min over the columns outside it.
+* The tie rule. Candidates are recomputed once per block, over the union
+  of every statistic's candidates, and ranked by (distance, original id),
+  never by sorted position: a row is sorted by distance, and where two of
+  its first k + 1 distances are equal the block is sorted again by
+  (distance, point id). A first extremum is the one of lowest point id.
 
 The bound. Let u = 2^-53, gamma_m = m*u / (1 - m*u), c the points' mean,
 a_i = fl(q_i - c), b_j = fl(p_j - c), S_i = |a_i|^2 + max_j |b_j|^2 and
@@ -48,8 +72,11 @@ subnormal result errs by at most u * tiny. A row with S_i >= 2^1020, where
 a sum of squares could overflow (or a non-finite S_i), gets B_i = inf and
 keeps every column.
 
+The GEMM takes -2 a_i, an exact power-of-two scaling of its terms, so
+that the estimate needs no separate scaling pass.
+
 A block holds BLOCK_ELEMENTS query rows x points of estimates, and the
-exact recomputation gathers at most that many floats at a time.
+exact recomputation gathers at most half that many floats at a time.
 
 Neighborhood snapshots always measure Euclidean (unsquared) distance so
 that triangle-inequality reasoning about neighborhood radii is sound;
@@ -57,8 +84,9 @@ orderings are identical under both metrics.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -109,56 +137,166 @@ def build_index(points, labels, metric: str = "euclidean") -> NeighborIndex:
     return NeighborIndex(points=pts, labels=lab, metric=metric)
 
 
+class ClassLayout:
+    """Points in (label, id) order, so that each class is one contiguous slab
+    of columns, and query rows in (label, query index) order, so that the
+    rows of one class are adjacent.
+
+    ids[j] is the point id of column j (ids[n] = n, the id of the padding
+    column of ScreenBlock.candidates) and rows[r] the query index of row r;
+    own[r] is the column of row r's own point and cls[r] its class position,
+    whose slab is columns starts[cls[r]] : starts[cls[r]] + counts[cls[r]].
+    """
+
+    def __init__(self, labels, queries):
+        order = np.argsort(labels, kind="stable")
+        self.ids = np.append(order, labels.size)
+        grouped = labels[order]
+        self.starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+        self.counts = np.diff(np.append(self.starts, grouped.size))
+        self.rows = np.argsort(labels[queries], kind="stable")
+        point = queries[self.rows]
+        column = np.empty_like(order)
+        column[order] = np.arange(grouped.size)
+        self.own = column[point]
+        self.cls = np.searchsorted(grouped[self.starts], labels[point])
+
+
 class ScreenBlock:
     """Query rows lo:hi of a screen.
 
     est[r, j] is the Gram estimate of the squared distance from query
     lo + r to point j, within window[r] / 2 of its pinned value (see the
-    module docstring). The next block of the same screen overwrites est.
+    module docstring). With a ClassLayout, rows and columns are in its
+    order, each row's own column estimate is -inf, so that it comes first
+    in every partition and is never a largest value, and slab[r] holds the
+    estimates of row r's class slab, read at the flat indices slab_at[r]
+    of est, the last column repeated up to the widest slab of the block.
+    The next block of the same screen overwrites est.
     """
 
-    def __init__(self, q, p, lo, est, window):
+    def __init__(self, q, p, lo, est, window, layout=None):
         self.q, self.p, self.lo, self.hi = q, p, lo, lo + est.shape[0]
-        self.est, self.window = est, window
+        self.est, self.window, self.layout = est, window, layout
+        if layout is not None:
+            _, start, stop = self._slabs()
+            self.size = stop - start
+            # rows of one class read their slab as a view
+            one = start[0] == start[-1]
+            self.slab = est[:, start[0]:stop[0]] if one else est.take(self.slab_at)
 
-    def smallest(self, nth, allowed=None):
-        """Candidate mask for each row's nth smallest allowed distance (nth
-        0-based, one int or one per row): the allowed columns whose estimate
-        is not above the row's nth smallest allowed estimate plus the window.
-        A non-finite estimate, statistic or window keeps the column."""
-        e = self.est.copy() if allowed is None else np.where(allowed, self.est, np.inf)
-        e.partition(np.unique(nth), axis=1)
-        stat = e[np.arange(e.shape[0]), nth]
-        keep = ~(self.est > (stat + self.window)[:, None])
-        return keep if allowed is None else keep & allowed
+    @functools.cached_property
+    def slab_at(self):
+        """(rows, widest slab) flat indices of each row's slab in est."""
+        _, start, _ = self._slabs()
+        last = np.minimum(np.arange(self.size.max()), self.size[:, None] - 1)
+        return last + (start + self.est.shape[1] * np.arange(start.size))[:, None]
 
-    def largest(self, allowed):
-        """Candidate mask for each row's largest allowed distance."""
-        stat = np.max(np.where(allowed, self.est, -np.inf), axis=1)
-        return allowed & ~(self.est < (stat - self.window)[:, None])
+    def smallest(self, nth):
+        """Candidate mask for each row's nth smallest distance (nth 0-based):
+        the columns whose estimate is not above the row's nth smallest
+        estimate plus the window. A non-finite estimate, statistic or
+        window keeps the column."""
+        e = self.est.copy()
+        e.partition(nth, axis=1)
+        return ~(self.est > (e[:, nth] + self.window)[:, None])
 
-    def ranked(self, keep, metric: str):
-        """(ids, dists), both (rows, w): each row's kept entries recomputed
-        exactly, in ascending (distance, id) order, padded with (n, inf) up
-        to the widest row."""
+    def _slabs(self):
+        """(cls, start, stop): each row's class position and slab columns."""
+        cls = self.layout.cls[self.lo:self.hi]
+        start = self.layout.starts[cls]
+        return cls, start, start + self.layout.counts[cls]
+
+    def peers(self, cols):
+        """Which entries of cols, a (rows, w) array of columns, lie in their
+        row's own class slab."""
+        _, start, stop = self._slabs()
+        return (cols >= start[:, None]) & (cols < stop[:, None])
+
+    def kth_keep(self, k: int):
+        """Candidate mask for each row's k nearest other points of any class
+        and for the statistic its d_ak_pos takes: its kth nearest same-class
+        point when the class has k other members or more, else every
+        same-class column (the farthest peer decides).
+
+        S_i, the kth smallest estimate of the row's slab, bounds the kth
+        smallest of the whole row, so one compare est <= S_i + window keeps
+        the candidates of both. Where that keeps more than 2k columns a
+        row in the block (overlapping classes), or the class is too small
+        for S_i, the kth smallest estimate E_i of the full row is taken, and
+        the columns kept are est <= E_i + window and the slab's
+        est <= S_i + window (every slab column without S_i)."""
+        est, w, big = self.est, self.window[:, None], self.size > k
+        bound = np.full(w.shape, np.inf)
+        if np.any(big):
+            slab = self.slab.copy()
+            if self.size.min() < slab.shape[1]:
+                slab[np.arange(slab.shape[1]) >= self.size[:, None]] = np.inf
+            slab.partition(k, axis=1)
+            bound[big, 0] = slab[big, k]
+        bound += w
+        keep = ~(est > bound)
+        wide = ~big
+        if np.count_nonzero(keep) > 2 * k * keep.shape[0]:
+            wide[:] = True          # the fallback rule
+        if np.any(wide):
+            rows = slice(None) if np.all(wide) else np.flatnonzero(wide)
+            row = est[rows]
+            keep[rows] = ~(row > np.partition(row, k, axis=1)[:, k:k + 1] + w[rows])
+            keep.flat[self.slab_at[rows][~(self.slab[rows] > bound[rows])]] = True
+        return keep
+
+    def extreme_keep(self, keep):
+        """Add to keep the candidates for each row's largest same-class and
+        smallest other-class distance: the slab columns whose estimate is
+        not below the slab's largest estimate minus the window, and the
+        columns outside it not above their smallest estimate plus the
+        window. A non-finite estimate, statistic or window keeps the column.
+        Overwrites the slab estimates with inf, so it comes last."""
+        est, w = self.est, self.window[:, None]
+        below = np.max(self.slab, axis=1, keepdims=True) - w
+        keep.flat[self.slab_at[~(self.slab < below)]] = True
+        est.flat[self.slab_at] = np.inf
+        keep |= ~(est > np.min(est, axis=1, keepdims=True) + w)
+        return keep
+
+    def point_ids(self, cols):
+        """Point ids of the columns cols; the padding column n maps to n."""
+        return cols if self.layout is None else self.layout.ids[cols]
+
+    def candidates(self, keep, metric: str):
+        """(cols, dists), both (rows, w): every row's kept columns in
+        ascending order and their distances recomputed exactly, padded with
+        (n, inf) up to the widest row. With a ClassLayout, a row's own
+        column is never an entry."""
+        if self.layout is not None:
+            keep[np.arange(keep.shape[0]), self.layout.own[self.lo:self.hi]] = False
         rows, cols = _entries(keep)
         counts = np.bincount(rows, minlength=keep.shape[0])
         slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-        dists = np.full((keep.shape[0], counts.max(initial=0)), np.inf)
+        shape = (keep.shape[0], counts.max(initial=0))
+        padded = np.full(shape, keep.shape[1])
+        padded[rows, slot] = cols
+        dists = np.full(shape, np.inf)
         dists[rows, slot] = _pinned(self.q, self.p, self.lo + rows, cols, metric)
-        ids = np.full(dists.shape, keep.shape[1])
-        ids[rows, slot] = cols
-        # a stable sort keeps ascending ids among equal distances, and real
-        # infinite distances ahead of the padding
-        order = np.argsort(dists, axis=1, kind="stable")
-        return np.take_along_axis(ids, order, axis=1), np.take_along_axis(dists, order, axis=1)
+        return padded, dists
 
-    def exact(self, keep, fill: float, metric: str) -> np.ndarray:
-        """(rows, n): the kept entries recomputed exactly, fill elsewhere."""
-        out = np.full(keep.shape, fill)
-        rows, cols = _entries(keep)
-        out[rows, cols] = _pinned(self.q, self.p, self.lo + rows, cols, metric)
-        return out
+    def ranked(self, keep, k: int, metric: str):
+        """candidates(keep, metric) with each row in ascending distance
+        order, its first k entries in ascending (distance, point id) order.
+
+        Rows are sorted by distance alone; only where two of a row's first
+        k + 1 distances are equal (an exact tie, or real infinite distances
+        beside the padding) is the block sorted by (distance, point id)."""
+        cols, dists = self.candidates(keep, metric)
+        order = np.argsort(dists, axis=1)
+        dists = np.take_along_axis(dists, order, axis=1)
+        head = dists[:, :k + 1]
+        if np.any(head[:, 1:] == head[:, :-1]):
+            cols = np.take_along_axis(cols, order, axis=1)
+            order = np.lexsort((self.point_ids(cols), dists))
+            dists = np.take_along_axis(dists, order, axis=1)
+        return np.take_along_axis(cols, order, axis=1), dists
 
     def nearest(self, k: int, own=None, metric: str = "euclidean"):
         """(ids, dists), both (rows, k): each row's k nearest points in
@@ -169,8 +307,8 @@ class ScreenBlock:
         keep = self.smallest(k - 1)
         if own is not None:
             keep[own] = False
-        ids, dists = self.ranked(keep, metric)
-        return ids[:, :k], dists[:, :k]
+        cols, dists = self.ranked(keep, k, metric)
+        return self.point_ids(cols[:, :k]), dists[:, :k]
 
 
 def _entries(keep):
@@ -183,9 +321,10 @@ def _entries(keep):
 def _pinned(q, p, qi, pj, metric: str) -> np.ndarray:
     """Distances of the pairs (q[qi], p[pj]): np.sum(d * d) over
     d = query - point as in mathops.sq_dist, square-rooted for the
-    euclidean metric, gathered at most BLOCK_ELEMENTS floats at a time."""
+    euclidean metric, gathered at most BLOCK_ELEMENTS / 2 floats at a time
+    (gathers of twice that size took up to 2.4x longer per distance)."""
     out = np.empty(qi.size)
-    step = max(1, BLOCK_ELEMENTS // q.shape[1])
+    step = max(1, BLOCK_ELEMENTS // (2 * q.shape[1]))
     for lo in range(0, qi.size, step):
         d = np.take(q, qi[lo:lo + step], axis=0)
         d -= np.take(p, pj[lo:lo + step], axis=0)
@@ -193,9 +332,10 @@ def _pinned(q, p, qi, pj, metric: str) -> np.ndarray:
     return np.sqrt(out, out=out) if metric == "euclidean" else out
 
 
-def screen(q: np.ndarray, p: np.ndarray):
+def screen(q: np.ndarray, p: np.ndarray, layout: ClassLayout | None = None):
     """Yield a ScreenBlock for each block of at most BLOCK_ELEMENTS query
-    rows x points of the float64 matrices q and p."""
+    rows x points of the float64 matrices q and p (in layout order, if
+    given)."""
     (m, dim), n = q.shape, p.shape[0]
     centre = np.mean(p, axis=0)
     b = p - centre
@@ -206,13 +346,26 @@ def screen(q: np.ndarray, p: np.ndarray):
     window = np.where(scale < 2.0 ** 1020, 16 * (dim + 6) * _U * (scale + _TINY), np.inf)
     rows = max(1, BLOCK_ELEMENTS // n)
     buf = np.empty((min(rows, m), n))
+    a = -2.0 * a        # exact: a power-of-two scaling of the GEMM's terms
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
         est = np.matmul(a[lo:hi], b.T, out=buf[:hi - lo])
-        est *= -2.0
         est += na[lo:hi, None]
         est += nb
-        yield ScreenBlock(q, p, lo, est, window[lo:hi])
+        if layout is not None:
+            est[np.arange(hi - lo), layout.own[lo:hi]] = -np.inf
+        yield ScreenBlock(q, p, lo, est, window[lo:hi], layout)
+
+
+def class_screen(x: np.ndarray, labels, queries=None):
+    """Yield the ScreenBlocks of x[queries] (every point, when None)
+    against x, both in ClassLayout order; blk.layout.rows[blk.lo:blk.hi]
+    are the block rows' query indices."""
+    labels = np.asarray(labels)
+    self_query = queries is None
+    layout = ClassLayout(labels, np.arange(labels.size) if self_query else queries)
+    p = x[layout.ids[:-1]]
+    yield from screen(p if self_query else x[queries[layout.rows]], p, layout)
 
 
 def topk(queries, points, k: int, exclude=None, metric: str = "euclidean"):
@@ -290,6 +443,8 @@ class NeighborhoodSnapshot:
     d_ak_pos: np.ndarray      # (n,) float64, Euclidean; NaN if no positive
     neighbor_ids: np.ndarray  # (n, k) int64, ascending (distance, id)
     has_positive: np.ndarray  # (n,) bool
+    # exact distance recomputations per anchor: how tight the screen was
+    candidates: float = field(default=0.0, compare=False)
 
     @property
     def n(self) -> int:
@@ -307,41 +462,38 @@ class NeighborhoodSnapshot:
 
 
 def take_snapshot(index: NeighborIndex, k: int, epoch: int = 0) -> NeighborhoodSnapshot:
-    """Freeze every anchor's neighborhood at the start of an epoch."""
+    """Freeze every anchor's neighborhood at the start of an epoch.
+
+    Per block of the class-sorted screen, one compare keeps the candidates
+    of both statistics (ScreenBlock.kth_keep) and one exact recomputation
+    ranks them; the snapshot records how many it recomputed per anchor."""
     n = index.n
     if k < 1 or k > n - 1:
         raise ValueError(f"k_exceeds_n: k={k}, n={n} (self excluded)")
-    labels = index.labels
     # rank among its peers of each anchor's kth same-class neighbor, or of
     # its farthest peer when the class has k or fewer; -1 without a peer
-    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    _, inverse, counts = np.unique(index.labels, return_inverse=True, return_counts=True)
     nth_pos = np.minimum(k, counts[inverse] - 1) - 1
     has_positive = nth_pos >= 0
 
     neighbor_ids = np.empty((n, k), dtype=np.int64)
     d_ak = np.empty(n, dtype=np.float64)
     d_ak_pos = np.full(n, np.nan, dtype=np.float64)
-    for blk in screen(index.points, index.points):
-        rows = np.arange(blk.lo, blk.hi)
-        own = (rows - blk.lo, rows)
-        neighbor_ids[rows], dists = blk.nearest(k, own)
-        d_ak[rows] = dists[:, -1]
-        peers = labels[rows, None] == labels
-        peers[own] = False
+    recomputed = 0
+    for blk in class_screen(index.points, index.labels):
+        rows = blk.layout.rows[blk.lo:blk.hi]
+        cols, dists = blk.ranked(blk.kth_keep(k), k, "euclidean")
+        recomputed += np.count_nonzero(cols < n)
+        neighbor_ids[rows] = blk.point_ids(cols[:, :k])
+        d_ak[rows] = dists[:, k - 1]
+        # the (nth + 1)-th same-class entry of each ranked row
         nth = nth_pos[rows]
-        _, dists = blk.ranked(blk.smallest(np.maximum(nth, 0), peers), "euclidean")
+        at = np.argmax(np.cumsum(blk.peers(cols), axis=1) > nth[:, None], axis=1)
         ok = nth >= 0
-        d_ak_pos[rows[ok]] = dists[ok, nth[ok]]
+        d_ak_pos[rows[ok]] = dists[ok, at[ok]]
 
     for arr in (d_ak, d_ak_pos, neighbor_ids, has_positive):
         arr.setflags(write=False)
     return NeighborhoodSnapshot(epoch=epoch, k=k, d_ak=d_ak, d_ak_pos=d_ak_pos,
-                                neighbor_ids=neighbor_ids, has_positive=has_positive)
-
-
-def is_outlier(snapshot: NeighborhoodSnapshot, index: NeighborIndex, q) -> bool:
-    """True iff q lies beyond the neighborhood radius of its nearest anchor."""
-    q = np.asarray(q, dtype=np.float64)
-    (a, _), = query_knn(index, q, 1)
-    d_aq = math.sqrt(float(np.sum((index.points[a] - q) ** 2)))
-    return d_aq > float(snapshot.d_ak[a])
+                                neighbor_ids=neighbor_ids, has_positive=has_positive,
+                                candidates=recomputed / n)

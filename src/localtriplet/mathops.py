@@ -12,16 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def as_vector(values) -> np.ndarray:
-    """Coerce to a finite, non-empty 1-D float64 array."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"bad_vector: expected non-empty 1-D data, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("bad_vector: non-finite entries")
-    return v
-
-
 def as_sample_matrix(values) -> np.ndarray:
     """Coerce to a finite (n, d) float64 matrix with n, d >= 1."""
     m = np.asarray(values, dtype=np.float64)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import NeighborhoodSnapshot, screen
+from .knn import NeighborhoodSnapshot, class_screen
 
 
 @dataclass(frozen=True)
@@ -160,16 +160,23 @@ def mine_hard(embeddings, labels, anchors) -> np.ndarray:
     _Classes(labels).check(anchors)
     out = np.empty((anchors.size, 3), dtype=np.int64)
     out[:, 0] = anchors
-    for blk in screen(emb[anchors], emb):
-        a = anchors[blk.lo:blk.hi]
-        same = labels[a][:, None] == labels
-        peer = same.copy()
-        peer[np.arange(a.size), a] = False
-        # np.argmax/argmin return the first (lowest-index) extremum
-        pos = blk.exact(blk.largest(peer), -np.inf, "sq_euclidean")
-        neg = blk.exact(blk.smallest(0, ~same), np.inf, "sq_euclidean")
-        out[blk.lo:blk.hi, 1] = np.argmax(pos, axis=1)
-        out[blk.lo:blk.hi, 2] = np.argmin(neg, axis=1)
+    for blk in class_screen(emb, labels, anchors):
+        at = blk.layout.rows[blk.lo:blk.hi]
+        cols, sq = blk.candidates(blk.extreme_keep(np.zeros(blk.est.shape, dtype=bool)),
+                                  "sq_euclidean")
+        peer = blk.peers(cols)
+        # np.argmax/argmin on a full row return the first (lowest-id)
+        # extremum, the first NaN if there is one. Columns ascend with ids
+        # inside a class slab, but not across slabs: the negative is the
+        # lowest id among the hits, and row 0 when every negative distance
+        # is infinite, as np.argmin would give on an all-inf row.
+        ids = blk.point_ids(cols)
+        out[at, 1] = ids[np.arange(at.size), np.argmax(np.where(peer, sq, -np.inf), axis=1)]
+        neg = np.where(peer, np.inf, sq)
+        least = np.min(neg, axis=1, keepdims=True)      # NaN if the row has one
+        hits = np.where(np.isnan(least), np.isnan(neg), neg == least)
+        first = np.min(np.where(hits, ids, labels.size), axis=1)
+        out[at, 2] = np.where(least[:, 0] == np.inf, 0, first)
     return out
 
 

@@ -68,10 +68,11 @@ class EpochReport:
     """Per-epoch observability record.
 
     Snapshot fields and hinge fraction are None for methods that do not
-    produce them. wall_time, phase_times (seconds per PHASES entry) and
+    produce them. wall_time, phase_times (seconds per PHASES entry),
     peak_rss_mb (the process's peak resident memory at the end of the
-    epoch) are excluded from comparison and from to_json_line, so logs of
-    reruns stay byte-identical.
+    epoch) and snapshot_candidates (the snapshot's exact distance
+    recomputations per anchor) are excluded from comparison and from
+    to_json_line, so logs of reruns stay byte-identical.
     """
 
     epoch: int
@@ -85,20 +86,23 @@ class EpochReport:
     wall_time: float = field(default=0.0, compare=False)
     phase_times: dict | None = field(default=None, compare=False)
     peak_rss_mb: float | None = field(default=None, compare=False)
+    snapshot_candidates: float | None = field(default=None, compare=False)
 
     def to_json_line(self, include_wall_time: bool = False) -> str:
         d = {k: v for k, v in self.__dict__.items() if v is not None}
-        d.pop("phase_times", None)
-        d.pop("peak_rss_mb", None)
+        for key in ("phase_times", "peak_rss_mb", "snapshot_candidates"):
+            d.pop(key, None)
         if not include_wall_time:
             d.pop("wall_time", None)
         return json.dumps(d, sort_keys=True)
 
     def timing_json_line(self) -> str:
-        """The epoch's wall and per-phase seconds and peak memory as one
-        JSON line."""
+        """The epoch's wall and per-phase seconds, peak memory and, for the
+        snapshot methods, snapshot_candidates as one JSON line."""
         d = {"epoch": self.epoch, "wall_s": self.wall_time, "peak_rss_mb": self.peak_rss_mb}
         d.update((f"{phase}_s", s) for phase, s in (self.phase_times or {}).items())
+        if self.snapshot_candidates is not None:
+            d["snapshot_candidates"] = self.snapshot_candidates
         return json.dumps(d, sort_keys=True)
 
 
@@ -238,6 +242,7 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
         wall_time=wall_time,
         phase_times=phases,
         peak_rss_mb=_peak_rss_mb(),
+        snapshot_candidates=snapshot.candidates if snapshot is not None else None,
     )
 
 

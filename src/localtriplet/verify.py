@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import atomic_open
-from .knn import screen, topk
+from .knn import class_screen, topk
 from .mathops import as_sample_matrix
 
 
@@ -77,17 +77,14 @@ def check_optimal_condition(embeddings, labels, k: int, c_b: float, eps: float
     if not (1 <= k <= n - 1):
         raise ValueError(f"k_exceeds_n: k={k}, n={n}")
     d_ak, max_pos, min_neg = np.empty((3, n))
-    for blk in screen(x, x):
-        rows = np.arange(blk.lo, blk.hi)
-        own = (rows - blk.lo, rows)
-        d_ak[rows] = blk.nearest(k, own)[1][:, -1]
-        other = labels[rows, None] != labels
-        peers = ~other
-        peers[own] = False
-        pos = blk.exact(blk.largest(peers), -np.inf, "euclidean")
+    for blk in class_screen(x, labels):
+        rows = blk.layout.rows[blk.lo:blk.hi]
+        cols, dists = blk.candidates(blk.extreme_keep(blk.kth_keep(k)), "euclidean")
+        d_ak[rows] = np.partition(dists, k - 1, axis=1)[:, k - 1]
+        peer = blk.peers(cols)
         # an overflowed (infinite) distance counts as no positive
-        max_pos[rows] = np.max(np.where(np.isfinite(pos), pos, -np.inf), axis=1)
-        min_neg[rows] = np.min(blk.exact(blk.smallest(0, other), np.inf, "euclidean"), axis=1)
+        max_pos[rows] = np.max(np.where(peer & np.isfinite(dists), dists, -np.inf), axis=1)
+        min_neg[rows] = np.min(np.where(peer, np.inf, dists), axis=1)
 
     _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     checked = counts[inverse] >= k + 1

@@ -50,6 +50,15 @@ def brute_knn(points, q, k, metric="euclidean", exclude=None):
     return [(i, dist) for dist, i in scored[:k]]
 
 
+def is_outlier(snapshot, index, q) -> bool:
+    """True iff q lies beyond the neighborhood radius of its nearest anchor
+    (the exhaustive nearest point, ties to the lower id)."""
+    q = np.asarray(q, dtype=np.float64)
+    (a, _), = brute_knn(index.points, q, 1)
+    d_aq = math.sqrt(float(np.sum((index.points[a] - q) ** 2)))
+    return d_aq > float(snapshot.d_ak[a])
+
+
 def brute_classify(points, labels, q, k):
     """Majority vote over the exhaustive k nearest, ties to the class of
     the nearest tied neighbor."""

@@ -1,0 +1,148 @@
+"""The class-sorted screen against the exhaustive reference scan.
+
+take_snapshot, check_optimal_condition and mine_hard sort the points by
+(label, id), so that each class is one contiguous slab of columns, and
+must still match the full scan in oracles.py bit for bit: with labels that
+are neither sorted nor contiguous, classes too small for the slab bound,
+exact cross-class ties at the kth boundary where the class-sorted order
+and the id order disagree, blocks that span several classes and classes
+that span several blocks, and with both the slab bound (well-separated
+classes) and the full-row fallback (overlapping classes) at work.
+"""
+import numpy as np
+import pytest
+
+from localtriplet.knn import build_index, class_screen, take_snapshot
+from localtriplet.mining import mine_hard, trainable_anchors
+from localtriplet.verify import check_optimal_condition
+from oracles import (
+    exhaustive_condition_terms,
+    exhaustive_mine_hard,
+    exhaustive_snapshot,
+)
+
+
+def _assert_same(actual, expected):
+    for a, e in zip(actual, expected):
+        assert np.array_equal(a, e, equal_nan=a.dtype.kind == "f")
+
+
+def _assert_all_match(pts, labels, k):
+    """Snapshot, optimal-condition terms and batch-hard rows all equal the
+    exhaustive scan's."""
+    snap = take_snapshot(build_index(pts, labels), k)
+    _assert_same((snap.neighbor_ids, snap.d_ak, snap.d_ak_pos, snap.has_positive),
+                 exhaustive_snapshot(pts, labels, k))
+    report = check_optimal_condition(pts, labels, k, c_b=1.5, eps=1e-3)
+    d_ak, max_pos, min_neg = exhaustive_condition_terms(pts, labels, k)
+    assert np.array_equal(report.d_ak, d_ak)
+    rhs = max_pos + 1.5 * d_ak + 1e-3
+    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    checked = counts[inverse]
+    expected = [(int(a), float(rhs[a] - min_neg[a]), float(max_pos[a]), float(min_neg[a]))
+                for a in np.flatnonzero((checked >= k + 1) & (min_neg < rhs))]
+    assert [(v.anchor, v.residual, v.max_pos_dist, v.min_neg_dist)
+            for v in report.violations] == expected
+    anchors = trainable_anchors(labels)
+    assert np.array_equal(mine_hard(pts, labels, anchors),
+                          exhaustive_mine_hard(pts, labels, anchors))
+    return snap
+
+
+def _shuffled_labels(sizes, values, seed):
+    labels = np.repeat(np.asarray(values), sizes)
+    return np.random.default_rng(seed).permutation(labels)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+@pytest.mark.parametrize("kind", ["normal", "grid"])
+def test_unsorted_labels_and_classes_around_k(kind, k):
+    # labels {3, 7, 9, 11} in shuffled id order: a singleton and classes of
+    # exactly k - 1, k and k + 1 members; and a larger class 5
+    labels = _shuffled_labels([1, k - 1, k, k + 1, 3 * k], [11, 3, 9, 7, 5], seed=k)
+    rng = np.random.default_rng(10 + k)
+    if kind == "normal":
+        pts = rng.standard_normal((labels.size, 3))
+    else:
+        pts = rng.integers(0, 3, size=(labels.size, 2)).astype(np.float64)
+    assert sorted(np.unique(labels, return_counts=True)[1]) == sorted([1, k - 1, k, k + 1, 3 * k])
+    _assert_all_match(pts, labels, k)
+
+
+def _grid_ties(seed):
+    """Points on a 1-d integer line whose labels fall as ids rise, so that
+    the class-sorted order reverses the id order across classes."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 8, size=(48, 1)).astype(np.float64)
+    labels = 3 - np.arange(48) // 12 + 4 * (np.arange(48) % 2)
+    return pts, labels
+
+
+def test_tie_set_has_cross_class_ties_against_sorted_order():
+    # the set exercises what it claims: for some anchor, two points of
+    # different classes tie at the kth distance, and the lower id sorts
+    # after the higher one in the class-sorted layout
+    for seed in range(3):
+        pts, labels = _grid_ties(seed)
+        position = np.empty(labels.size, dtype=np.int64)
+        position[np.argsort(labels, kind="stable")] = np.arange(labels.size)
+        found = False
+        for a in range(labels.size):
+            d = np.abs(pts[:, 0] - pts[a, 0])
+            d[a] = np.inf
+            kth = np.sort(d)[4]           # k = 5
+            tied = np.flatnonzero(d == kth)
+            lo, hi = tied.min(), tied.max()
+            found |= bool(np.sum(d < kth) < 5 < np.sum(d <= kth)
+                          and labels[lo] != labels[hi] and position[lo] > position[hi])
+        assert found, seed
+
+
+@pytest.mark.parametrize("k", [1, 5, 9])
+@pytest.mark.parametrize("seed", range(3))
+def test_cross_class_ties_rank_by_id(seed, k):
+    pts, labels = _grid_ties(seed)
+    _assert_all_match(pts, labels, k)
+    # and reversed, where the class-sorted order agrees with the id order
+    _assert_all_match(pts[::-1].copy(), labels[::-1].copy(), k)
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_blocks_span_classes_and_classes_span_blocks(monkeypatch, k):
+    rng = np.random.default_rng(5)
+    labels = _shuffled_labels([4, 5, 3, 48], [2, 3, 5, 8], seed=5)
+    pts = rng.standard_normal((labels.size, 4))
+    monkeypatch.setattr("localtriplet.knn.BLOCK_ELEMENTS", 14 * labels.size)
+    blocks = [np.unique(labels[blk.layout.rows[blk.lo:blk.hi]])
+              for blk in class_screen(pts, labels)]
+    assert max(b.size for b in blocks) >= 3
+    assert sum(8 in b for b in blocks) >= 3
+    _assert_all_match(pts, labels, k)
+
+
+def _blobs(spacing, seed=3):
+    rng = np.random.default_rng(seed)
+    centres = spacing * rng.standard_normal((5, 6))
+    labels = _shuffled_labels([40] * 5, [4, 0, 3, 1, 2], seed=seed)
+    return centres[labels] + rng.standard_normal((labels.size, 6)), labels
+
+
+@pytest.mark.parametrize("k", [3, 14])
+def test_separated_classes_keep_only_the_slab_candidates(k):
+    pts, labels = _blobs(spacing=50.0)
+    snap = _assert_all_match(pts, labels, k)
+    # the slab bound alone: each anchor recomputes just its k nearest
+    assert snap.candidates == k
+
+
+@pytest.mark.parametrize("k", [3, 14])
+def test_overlapping_classes_take_the_full_row_fallback(k):
+    pts, labels = _blobs(spacing=0.05)
+    snap = _assert_all_match(pts, labels, k)
+    # the slab bound alone would keep every column up to the kth same-class
+    # distance, about 5k a row here; the fallback keeps at most its k
+    # nearest and its k nearest peers
+    within = [np.sum(np.linalg.norm(pts - p, axis=1) <= r)
+              for p, r in zip(pts, snap.d_ak_pos)]
+    assert np.mean(within) > 3 * k
+    assert k < snap.candidates <= 2 * k

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from localtriplet.cli import main
+from localtriplet.data import load_dataset
+from localtriplet.knn import choose_k
 
 
 BLOB_ARGS = ["--data", "blobs", "--classes", "3", "--per-class", "60",
@@ -41,6 +43,7 @@ def test_train_writes_phase_timings(tmp_path):
     assert [row.pop("epoch") for row in rows] == [0, 1]
     for row in rows:
         assert row.pop("peak_rss_mb") > 0.0
+        row.pop("snapshot_candidates")
         assert set(row) == {"wall_s", "embed_s", "snapshot_s", "mine_s", "optimize_s"}
         assert row["wall_s"] == pytest.approx(sum(row.values()) - row["wall_s"])
         assert min(row.values()) >= 0.0
@@ -53,6 +56,23 @@ def test_train_records_peak_memory_in_timings_only(tmp_path):
     assert len(peaks) == 2 and 0.0 < peaks[0] <= peaks[1]   # a running maximum
     for line in (out / "epochs.jsonl").read_text().splitlines():
         assert "peak_rss_mb" not in json.loads(line)
+
+
+def test_train_records_snapshot_candidates_in_timings_only(tmp_path):
+    out = _train_run(tmp_path)
+    counts = [json.loads(line)["snapshot_candidates"]
+              for line in (out / "timings.jsonl").read_text().splitlines()]
+    # each anchor recomputes at least its k nearest, and these well-separated
+    # blobs keep the screen tight
+    k = choose_k(load_dataset(out / "train.npz").n)
+    assert len(counts) == 2 and all(k <= c < 2 * k for c in counts)
+    for line in (out / "epochs.jsonl").read_text().splitlines():
+        assert "snapshot_candidates" not in json.loads(line)
+    # methods without a snapshot write no count
+    out = tmp_path / "mm"
+    assert main(["train", "--method", "mm", *BLOB_ARGS, "--out-dir", str(out)]) == 0
+    for line in (out / "timings.jsonl").read_text().splitlines():
+        assert "snapshot_candidates" not in json.loads(line)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

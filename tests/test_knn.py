@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from localtriplet.knn import (
     build_index,
     choose_k,
-    is_outlier,
     knn_classify,
     query_knn,
     take_snapshot,
     topk,
 )
 from localtriplet.mathops import pairwise_sq_dists
-from oracles import brute_knn
+from oracles import brute_knn, is_outlier
 
 
 def _random_labeled(rng, n, dim, classes=3):
