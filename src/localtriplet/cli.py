@@ -1,10 +1,12 @@
 """Command-line workflow: train, eval, verify, compare, export-scatter.
 
 Every command is deterministic given its flags, seed, and input files.
-Configuration precedence is flags > config file > built-in defaults; the
-config file is plain ``key = value`` lines using the long flag names
-(dashes or underscores). Exit codes: 0 ok, 2 configuration error, 3 data
-error, 4 numeric failure.
+Each option is declared once, in OPTIONS, and COMMANDS lists the options
+each command takes, as flags and as keys of a ``key = value`` config file
+(the long flag names, dashes or underscores). A value comes from its flag,
+else the config file, else (eval and verify) the run's manifest.json
+config, else the built-in default. Exit codes: 0 ok, 2 configuration
+error, 3 data error, 4 numeric failure.
 
 Run artifacts live under ``runs/<timestamp>-<name>/`` (override the root
 with LOCALTRIPLET_RUNS_DIR or the directory with --out-dir): a manifest,
@@ -15,11 +17,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import urllib.error
 import urllib.request
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,44 +73,68 @@ MNIST_FILES = {
 }
 MNIST_MIRROR = "https://storage.googleapis.com/cvdf-datasets/mnist/"
 
-_DATA_DEFAULTS = {
-    "data": "blobs",
-    "train_dir": None,
-    "subset": None,
-    "test_subset": None,
-    "val_fraction": 0.0,
-    "classes": 3,
-    "per_class": 150,
-    "dim": 8,
-    "spacing": 12.0,
-    "std": 1.0,
-    "data_seed": 1234,
-    "test_fraction": 1 / 3,
+
+class Option(NamedTuple):
+    """One option: the value type (str, int or float), default, help text,
+    allowed values and whether the flag is required. Its flag is --name
+    with dashes; its config-file key is the name with dashes or underscores."""
+
+    type: type
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+    required: bool = False
+
+
+OPTIONS = {
+    "data": Option(str, "blobs", "dataset family (default blobs)", ("blobs", "mnist")),
+    "train_dir": Option(str, None, "directory holding the standard IDX files (mnist)"),
+    "subset": Option(int, None, "stratified training-subset size (mnist)"),
+    "test_subset": Option(int, None, "stratified test-subset size (mnist)"),
+    "val_fraction": Option(float, 0.0, "validation fraction carved from training data"),
+    "classes": Option(int, 3, "blob classes"),
+    "per_class": Option(int, 150, "blob samples per class"),
+    "dim": Option(int, 8, "blob dimensionality"),
+    "spacing": Option(float, 12.0, "minimum blob center distance"),
+    "std": Option(float, 1.0, "blob cluster standard deviation"),
+    "data_seed": Option(int, 1234, "seed for data generation/splits"),
+    "test_fraction": Option(float, 1 / 3, "held-out fraction for blob data"),
+    "method": Option(str, "lm_mining", choices=METHODS),
+    "arch": Option(str, "auto", '"auto", "cnn", or "mlp:D1,D2,..." embedding stack'),
+    "k": Option(int, None, "neighbor count (default ceil(sqrt(n)))"),
+    "batch_size": Option(int, 128),
+    "epochs": Option(int, 50, "maximum epochs"),
+    "convergence_eps": Option(float, 1e-4),
+    "lr": Option(float, 1e-4),
+    "seed": Option(int, 0),
+    "w_lm": Option(float, 1000.0),
+    "w_ms": Option(float, 1.0),
+    "w_md": Option(float, 1.0),
+    "w_ss": Option(float, 0.0),
+    "w_sd": Option(float, 1.0),
+    "c_b": Option(float, 3.0),
+    "eps": Option(float, 1e-3, "small hinge constant"),
+    "margin_m": Option(float, 1_000_000.0, "fixed margin for mm methods"),
+    "out_dir": Option(str),
+    "run_dir": Option(str, required=True),
+    "which": Option(str, "test", choices=("train", "test")),
+    "config": Option(str, help="key = value config file"),
 }
 
-_TRAIN_DEFAULTS = {
-    "method": "lm_mining",
-    "arch": "auto",
-    "k": None,
-    "batch_size": 128,
-    "epochs": 50,
-    "convergence_eps": 1e-4,
-    "lr": 1e-4,
-    "seed": 0,
-    "w_lm": 1000.0,
-    "w_ms": 1.0,
-    "w_md": 1.0,
-    "w_ss": 0.0,
-    "w_sd": 1.0,
-    "c_b": 3.0,
-    "eps": 1e-3,
-    "margin_m": 1_000_000.0,
-    "out_dir": None,
-    "config": None,
+# train and compare take every option but the two that name an existing run
+_TRAINING = tuple(name for name in OPTIONS if name not in ("run_dir", "which"))
+COMMANDS = {    # command: (help, the options it takes as flags and config keys)
+    "train": ("train one method", _TRAINING),
+    "eval": ("KNN-evaluate a checkpoint", ("run_dir", "k", "config")),
+    "verify": ("purity and optimal-condition checks", ("run_dir", "k", "c_b", "eps", "config")),
+    "compare": ("train and score all methods", _TRAINING),
+    "export-scatter": ("2-D PCA CSV of embeddings", ("run_dir", "which", "config")),
 }
 
 
-def _read_config_file(path) -> dict:
+def _read_config_file(path, names) -> dict:
+    """The values of a key = value config file, each of its option's type;
+    ConfigError for a key outside names or a value its option rejects."""
     values = {}
     try:
         text = Path(path).read_text()
@@ -118,96 +146,47 @@ def _read_config_file(path) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"config file {path}:{lineno}: expected key = value")
-        key, value = (s.strip() for s in line.split("=", 1))
-        values[key.replace("-", "_")] = value
+        key, raw = (s.strip() for s in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in names:
+            raise ConfigError(f"config file key unknown: {key}")
+        opt = OPTIONS[key]
+        try:
+            values[key] = opt.type(raw)
+        except ValueError as err:
+            raise ConfigError(f"config file {path}:{lineno}: bad {key} value {raw!r}") from err
+        if opt.choices and values[key] not in opt.choices:
+            raise ConfigError(f"config file {path}:{lineno}: {key} must be one of {opt.choices}")
     return values
 
 
-# keys whose built-in default is None but which carry typed values
-_COERCE_OVERRIDES = {"k": int, "subset": int, "test_subset": int, "c_b": float, "eps": float}
+def _trained_options(run: Path) -> dict:
+    """The options recorded in the run's manifest.json config."""
+    manifest = run / "manifest.json"
+    if not manifest.exists():
+        return {}
+    try:
+        return json.loads(manifest.read_text()).get("config") or {}
+    except (OSError, ValueError) as err:
+        raise DataError(f"unreadable manifest: {manifest} ({err})") from err
 
 
-def _coerce(key, value, like):
-    if isinstance(value, str):
-        if key in _COERCE_OVERRIDES:
-            return _COERCE_OVERRIDES[key](value)
-        if like is None or isinstance(like, str):
-            return value
-        if isinstance(like, bool):
-            return value.lower() in ("1", "true", "yes")
-        if isinstance(like, int):
-            return int(value)
-        if isinstance(like, float):
-            return float(value)
-    return value
-
-
-def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults."""
-    provided = vars(ns)
-    merged = dict(defaults)
-    config_path = provided.get("config", defaults.get("config"))
-    if config_path:
-        file_values = _read_config_file(config_path)
-        for key, raw in file_values.items():
-            if key not in merged:
-                raise ConfigError(f"config file key unknown: {key}")
-            merged[key] = _coerce(key, raw, defaults.get(key))
-    for key, value in provided.items():
-        if key in ("command", "func"):
-            continue
-        merged[key] = value
-    return merged
-
-
-def _add_data_flags(p: argparse.ArgumentParser):
-    s = argparse.SUPPRESS
-    p.add_argument("--data", choices=["blobs", "mnist"], default=s,
-                   help="dataset family (default blobs)")
-    p.add_argument("--train-dir", default=s,
-                   help="directory holding the standard IDX files (mnist)")
-    p.add_argument("--subset", type=int, default=s,
-                   help="stratified training-subset size (mnist)")
-    p.add_argument("--test-subset", type=int, default=s,
-                   help="stratified test-subset size (mnist)")
-    p.add_argument("--val-fraction", type=float, default=s,
-                   help="validation fraction carved from training data")
-    p.add_argument("--classes", type=int, default=s, help="blob classes")
-    p.add_argument("--per-class", type=int, default=s, help="blob samples per class")
-    p.add_argument("--dim", type=int, default=s, help="blob dimensionality")
-    p.add_argument("--spacing", type=float, default=s, help="minimum blob center distance")
-    p.add_argument("--std", type=float, default=s, help="blob cluster standard deviation")
-    p.add_argument("--data-seed", type=int, default=s, help="seed for data generation/splits")
-    p.add_argument("--test-fraction", type=float, default=s,
-                   help="held-out fraction for blob data")
-
-
-def _add_train_flags(p: argparse.ArgumentParser):
-    s = argparse.SUPPRESS
-    p.add_argument("--method", choices=list(METHODS), default=s)
-    p.add_argument("--arch", default=s,
-                   help='"auto", "cnn", or "mlp:D1,D2,..." embedding stack')
-    p.add_argument("--k", type=int, default=s, help="neighbor count (default ceil(sqrt(n)))")
-    p.add_argument("--batch-size", type=int, default=s)
-    p.add_argument("--epochs", type=int, default=s, help="maximum epochs")
-    p.add_argument("--convergence-eps", type=float, default=s)
-    p.add_argument("--lr", type=float, default=s)
-    p.add_argument("--seed", type=int, default=s)
-    p.add_argument("--w-lm", type=float, default=s)
-    p.add_argument("--w-ms", type=float, default=s)
-    p.add_argument("--w-md", type=float, default=s)
-    p.add_argument("--w-ss", type=float, default=s)
-    p.add_argument("--w-sd", type=float, default=s)
-    p.add_argument("--c-b", type=float, default=s)
-    p.add_argument("--eps", type=float, default=s, help="small hinge constant")
-    p.add_argument("--margin-m", type=float, default=s, help="fixed margin for mm methods")
-    p.add_argument("--out-dir", default=s)
-    p.add_argument("--config", default=s, help="key = value config file")
-
-
-def _runs_root() -> Path:
-    import os
-    return Path(os.environ.get("LOCALTRIPLET_RUNS_DIR", "runs"))
+def _resolve(ns: argparse.Namespace, run: Path | None = None):
+    """Each option of ns.command from its flag, else the --config file, else
+    (given a run directory) the run's manifest.json config, else its default.
+    Returns ({name: value}, {name: "flag" | "config" | "manifest" | "default"})."""
+    names = COMMANDS[ns.command][1]
+    flags = vars(ns)
+    layers = [("flag", flags),
+              ("config", _read_config_file(flags["config"], names) if flags.get("config") else {})]
+    if run is not None:
+        layers.append(("manifest", _trained_options(run)))
+    values, sources = {}, {}
+    for name in names:
+        values[name], sources[name] = next(
+            ((layer[name], source) for source, layer in layers if layer.get(name) is not None),
+            (OPTIONS[name].default, "default"))
+    return values, sources
 
 
 def _make_out_dir(opts: dict, name: str) -> Path:
@@ -215,7 +194,7 @@ def _make_out_dir(opts: dict, name: str) -> Path:
         out = Path(opts["out_dir"])
     else:
         stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
-        out = _runs_root() / f"{stamp}-{name}"
+        out = Path(os.environ.get("LOCALTRIPLET_RUNS_DIR", "runs")) / f"{stamp}-{name}"
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -232,79 +211,82 @@ def _mnist_paths(train_dir, kind: str):
 
 
 def _load_data(opts: dict):
-    """Build (train, val, test) datasets from resolved options."""
+    """Build (train, val, test) datasets from resolved options; a fraction
+    or subset size the split rejects is a ConfigError."""
+    seed, val_frac = opts["data_seed"], opts["val_fraction"]
     if opts["data"] == "mnist":
         try:
-            full = load_mnist_idx(_mnist_paths(opts["train_dir"], "train_images"),
-                                  _mnist_paths(opts["train_dir"], "train_labels"))
-            test = load_mnist_idx(_mnist_paths(opts["train_dir"], "test_images"),
-                                  _mnist_paths(opts["train_dir"], "test_labels"))
+            full, test = (load_mnist_idx(_mnist_paths(opts["train_dir"], part + "_images"),
+                                         _mnist_paths(opts["train_dir"], part + "_labels"))
+                          for part in ("train", "test"))
         except (OSError, ValueError) as err:
             raise DataError(str(err)) from err
         test.split = "test"
-        if opts["subset"]:
-            full = stratified_subset(full, opts["subset"], opts["data_seed"])
-        if opts["test_subset"]:
-            test = stratified_subset(test, opts["test_subset"], opts["data_seed"] + 1)
-        if opts["val_fraction"] and opts["val_fraction"] > 0:
-            train_ds, val_ds, _ = split(full, 1.0 - opts["val_fraction"],
-                                        opts["val_fraction"], opts["data_seed"])
-        else:
-            train_ds, val_ds = full, None
-            train_ds.split = "train"
-        return train_ds, val_ds, test
-    if opts["data"] == "blobs":
         try:
-            full = make_blobs(opts["classes"], opts["per_class"], opts["dim"],
-                              opts["spacing"], opts["std"], opts["data_seed"])
+            if opts["subset"]:
+                full = stratified_subset(full, opts["subset"], seed)
+            if opts["test_subset"]:
+                test = stratified_subset(test, opts["test_subset"], seed + 1)
+            if val_frac > 0:
+                train_ds, val_ds, _ = split(full, 1.0 - val_frac, val_frac, seed)
+            else:
+                train_ds, val_ds = full, None
+                train_ds.split = "train"
         except ValueError as err:
-            raise DataError(str(err)) from err
-        test_frac = opts["test_fraction"]
-        val_frac = opts["val_fraction"] or 0.0
-        train_frac = 1.0 - test_frac - val_frac
-        if train_frac <= 0:
-            raise ConfigError("test_fraction + val_fraction must leave training data")
-        if val_frac > 0:
-            train_ds, val_ds, test = split(full, train_frac, val_frac, opts["data_seed"])
-        else:
-            train_ds, test, _unused = split(full, train_frac, test_frac, opts["data_seed"])
-            train_ds.split, test.split = "train", "test"
-            val_ds = None
+            raise ConfigError(str(err)) from err
         return train_ds, val_ds, test
-    raise ConfigError(f"unknown data family: {opts['data']}")
+    try:
+        full = make_blobs(opts["classes"], opts["per_class"], opts["dim"],
+                          opts["spacing"], opts["std"], seed)
+    except ValueError as err:
+        raise DataError(str(err)) from err
+    test_frac = opts["test_fraction"]
+    train_frac = 1.0 - test_frac - val_frac
+    if train_frac <= 0:
+        raise ConfigError("test_fraction + val_fraction must leave training data")
+    try:
+        if val_frac > 0:
+            return split(full, train_frac, val_frac, seed)
+        train_ds, test, _unused = split(full, train_frac, test_frac, seed)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    train_ds.split, test.split = "train", "test"
+    return train_ds, None, test
+
+
+def _check_k(k, n_train: int) -> int:
+    """k, or ceil(sqrt(n_train)) when None; ConfigError unless
+    1 <= k <= n_train - 1 (each point needs k neighbors besides itself)."""
+    k = choose_k(n_train) if k is None else k
+    if not 1 <= k <= n_train - 1:
+        raise ConfigError(f"bad_k: k={k}, need 1 <= k <= {n_train - 1} for "
+                          f"{n_train} training points")
+    return k
 
 
 def _build_net(opts: dict, dataset: Dataset) -> EmbeddingNet:
     arch = opts["arch"]
     if arch == "auto":
         arch = "cnn" if len(dataset.sample_shape) == 3 else "mlp:64,32"
-    if arch == "cnn":
-        if dataset.sample_shape != (28, 28, 1):
-            raise ConfigError(f"cnn arch expects 28x28x1 input, data is {dataset.sample_shape}")
-        return EmbeddingNet(dataset.sample_shape, mnist_cnn(), seed=opts["seed"])
-    if arch.startswith("mlp:"):
-        try:
-            dims = [int(s) for s in arch[4:].split(",") if s]
-        except ValueError as err:
-            raise ConfigError(f"bad --arch {arch!r}") from err
-        if not dims:
-            raise ConfigError(f"bad --arch {arch!r}")
-        return EmbeddingNet(dataset.sample_shape, mlp(*dims), seed=opts["seed"])
-    raise ConfigError(f"unknown --arch {arch!r}")
-
-
-def _weights(opts: dict) -> LossWeights:
+    dims = arch[4:].split(",") if arch.startswith("mlp:") else []
     try:
-        return LossWeights(w_lm=opts["w_lm"], w_ms=opts["w_ms"], w_md=opts["w_md"],
-                           w_ss=opts["w_ss"], w_sd=opts["w_sd"], c_b=opts["c_b"],
-                           eps=opts["eps"], fixed_margin_m=opts["margin_m"])
+        if arch == "cnn":
+            layers = mnist_cnn()
+        elif any(dims):
+            layers = mlp(*(int(s) for s in dims if s))
+        else:
+            raise ValueError('expected "auto", "cnn" or "mlp:D1,D2,..."')
+        return EmbeddingNet(dataset.sample_shape, layers, seed=opts["seed"])
     except ValueError as err:
-        raise ConfigError(str(err)) from err
+        raise ConfigError(f"bad --arch {arch!r}: {err}") from err
 
 
 def _train_config(opts: dict) -> TrainConfig:
     try:
-        return TrainConfig(method=opts["method"], k=opts["k"], weights=_weights(opts),
+        weights = LossWeights(w_lm=opts["w_lm"], w_ms=opts["w_ms"], w_md=opts["w_md"],
+                              w_ss=opts["w_ss"], w_sd=opts["w_sd"], c_b=opts["c_b"],
+                              eps=opts["eps"], fixed_margin_m=opts["margin_m"])
+        return TrainConfig(method=opts["method"], k=opts["k"], weights=weights,
                            batch_size=opts["batch_size"], e_max=opts["epochs"],
                            convergence_eps=opts["convergence_eps"], lr=opts["lr"],
                            seed=opts["seed"])
@@ -319,7 +301,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _manifest(out_dir: Path, command: str, opts: dict, train_ds: Dataset,
               outputs: list[str]) -> None:
-    opts = {k: v for k, v in opts.items() if k not in ("func", "command", "out_dir")}
+    opts = {k: v for k, v in opts.items() if k != "out_dir"}
     payload = {
         "artifact_version": __version__,
         "command": command,
@@ -332,8 +314,10 @@ def _manifest(out_dir: Path, command: str, opts: dict, train_ds: Dataset,
 
 
 def _train_into(out_dir: Path, opts: dict):
-    """Shared by cmd_train and cmd_compare: one full training run."""
+    """Shared by cmd_train and cmd_compare: one full training run.
+    Returns (net, train, test, reports, stop reason, k)."""
     train_ds, val_ds, test_ds = _load_data(opts)
+    k = _check_k(opts["k"], train_ds.n)
     net = _build_net(opts, train_ds)
     config = _train_config(opts)
 
@@ -356,13 +340,13 @@ def _train_into(out_dir: Path, opts: dict):
         save_dataset(out_dir / "test.npz", test_ds)
         outputs.append("test.npz")
     _manifest(out_dir, "train", opts, train_ds, outputs)
-    return net, train_ds, test_ds, reports, reason
+    return net, train_ds, test_ds, reports, reason, k
 
 
 def cmd_train(ns: argparse.Namespace) -> int:
-    opts = _resolve(ns, {**_DATA_DEFAULTS, **_TRAIN_DEFAULTS})
+    opts, _ = _resolve(ns)
     out_dir = _make_out_dir(opts, opts["method"])
-    net, train_ds, _test, reports, reason = _train_into(out_dir, opts)
+    _net, _train, _test, reports, reason, _k = _train_into(out_dir, opts)
     last = reports[-1].mean_batch_loss if reports else float("nan")
     print(f"trained {opts['method']} for {len(reports)} epochs ({reason}); "
           f"final mean batch loss {last:.6g}")
@@ -370,8 +354,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _load_run(ns_opts: dict):
-    run_dir = ns_opts.get("run_dir")
+def _load_run(run_dir):
+    """(net, train, test or None, run path) of a finished run."""
     if not run_dir:
         raise ConfigError("--run-dir is required")
     run = Path(run_dir)
@@ -379,50 +363,23 @@ def _load_run(ns_opts: dict):
     train_npz = run / "train.npz"
     if not ckpt.exists() or not train_npz.exists():
         raise DataError(f"missing data file: {ckpt if not ckpt.exists() else train_npz}")
-    net, extra = load_checkpoint(ckpt)
+    net, _extra = load_checkpoint(ckpt)
     train_ds = load_dataset(train_npz)
-    queries = None
     test_npz = run / "test.npz"
-    if test_npz.exists():
-        queries = load_dataset(test_npz)
-    return net, extra, train_ds, queries, run
-
-
-def _run_settings(ns: argparse.Namespace, opts: dict, run: Path, defaults: dict):
-    """Resolve eval/verify settings: flags, then the config file, then the
-    run's training config in manifest.json, then defaults. Returns
-    ({key: value}, {key: "flag" | "config" | "manifest" | "default"})."""
-    manifest, trained = run / "manifest.json", {}
-    if manifest.exists():
-        try:
-            trained = json.loads(manifest.read_text()).get("config") or {}
-        except (OSError, ValueError) as err:
-            raise DataError(f"unreadable manifest: {manifest} ({err})") from err
-    values, sources = {}, {}
-    for key, default in defaults.items():
-        if opts.get(key) is not None:
-            values[key], sources[key] = opts[key], "flag" if key in vars(ns) else "config"
-        elif trained.get(key) is not None:
-            values[key], sources[key] = trained[key], "manifest"
-        else:
-            values[key], sources[key] = default, "default"
-    if values["k"] < 1:
-        raise ConfigError(f"bad_k: {values['k']}")
-    return values, sources
+    return net, train_ds, load_dataset(test_npz) if test_npz.exists() else None, run
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    opts = _resolve(ns, {"run_dir": None, "k": None, "config": None})
-    net, _extra, train_ds, queries, run = _load_run(opts)
+    opts, sources = _resolve(ns, Path(ns.run_dir))
+    net, train_ds, queries, run = _load_run(opts["run_dir"])
     if queries is None or not queries.n:
         raise DataError(f"missing data file: {run / 'test.npz'}")
-    settings, sources = _run_settings(ns, opts, run, {"k": choose_k(train_ds.n)})
-    k = settings["k"]
+    k = _check_k(opts["k"], train_ds.n)
     accuracy, _preds, confusion = evaluate_knn(net, train_ds, queries, k)
     classes = sorted(set(np.concatenate([train_ds.labels, queries.labels]).tolist()))
     report = {
         "k": k,
-        "sources": sources,
+        "sources": {"k": sources["k"]},
         "n_train": train_ds.n,
         "n_queries": queries.n,
         "accuracy": accuracy,
@@ -437,20 +394,17 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    opts = _resolve(ns, {"run_dir": None, "k": None, "c_b": None, "eps": None,
-                         "config": None})
-    net, _extra, train_ds, queries, run = _load_run(opts)
-    settings, sources = _run_settings(
-        ns, opts, run, {"k": choose_k(train_ds.n), "c_b": _TRAIN_DEFAULTS["c_b"],
-                        "eps": _TRAIN_DEFAULTS["eps"]})
-    k = settings["k"]
+    opts, sources = _resolve(ns, Path(ns.run_dir))
+    net, train_ds, queries, run = _load_run(opts["run_dir"])
+    k = _check_k(opts["k"], train_ds.n)
+    settings = {"k": k, "c_b": opts["c_b"], "eps": opts["eps"]}
     train_emb = net.embed(train_ds.samples)
     condition = check_optimal_condition(train_emb, train_ds.labels, k,
                                         settings["c_b"], settings["eps"])
     write_violations_csv(run / "violations.csv", condition)
     summary = {
         **settings,
-        "sources": sources,
+        "sources": {name: sources[name] for name in settings},
         "n_anchors_checked": condition.n_checked,
         "n_skipped": len(condition.skipped_anchors),
         "n_violations": len(condition.violations),
@@ -476,17 +430,16 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def cmd_compare(ns: argparse.Namespace) -> int:
-    opts = _resolve(ns, {**_DATA_DEFAULTS, **_TRAIN_DEFAULTS})
+    opts, _ = _resolve(ns)
     out_dir = _make_out_dir(opts, "compare")
     rows = []
     for method in METHODS:
-        method_opts = dict(opts, method=method, out_dir=None)
         sub = out_dir / method
         sub.mkdir(parents=True, exist_ok=True)
-        net, train_ds, test_ds, reports, reason = _train_into(sub, method_opts)
+        net, train_ds, test_ds, reports, reason, k = _train_into(
+            sub, dict(opts, method=method, out_dir=None))
         if test_ds is None or not test_ds.n:
             raise DataError("compare needs held-out test data")
-        k = opts["k"] if opts["k"] else choose_k(train_ds.n)
         accuracy, _p, _c = evaluate_knn(net, train_ds, test_ds, k)
         rows.append((method, accuracy, len(reports), reason))
         print(f"{method:12s} accuracy {accuracy:.4f} ({len(reports)} epochs, {reason})")
@@ -499,8 +452,8 @@ def cmd_compare(ns: argparse.Namespace) -> int:
 
 
 def cmd_export_scatter(ns: argparse.Namespace) -> int:
-    opts = _resolve(ns, {"run_dir": None, "which": "test", "config": None})
-    net, _extra, train_ds, queries, run = _load_run(opts)
+    opts, _ = _resolve(ns)
+    net, train_ds, queries, run = _load_run(opts["run_dir"])
     ds = train_ds if opts["which"] == "train" else queries
     if ds is None or not ds.n:
         raise DataError(f"missing data file: {run / 'test.npz'}")
@@ -540,36 +493,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and verify neighborhood-margin triplet embeddings.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="train one method")
-    _add_data_flags(p_train)
-    _add_train_flags(p_train)
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("eval", help="KNN-evaluate a checkpoint")
-    p_eval.add_argument("--run-dir", required=True)
-    p_eval.add_argument("--k", type=int, default=argparse.SUPPRESS)
-    p_eval.add_argument("--config", default=argparse.SUPPRESS)
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_verify = sub.add_parser("verify", help="purity and optimal-condition checks")
-    p_verify.add_argument("--run-dir", required=True)
-    p_verify.add_argument("--k", type=int, default=argparse.SUPPRESS)
-    p_verify.add_argument("--c-b", type=float, default=argparse.SUPPRESS)
-    p_verify.add_argument("--eps", type=float, default=argparse.SUPPRESS)
-    p_verify.add_argument("--config", default=argparse.SUPPRESS)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_compare = sub.add_parser("compare", help="train and score all methods")
-    _add_data_flags(p_compare)
-    _add_train_flags(p_compare)
-    p_compare.set_defaults(func=cmd_compare)
-
-    p_scatter = sub.add_parser("export-scatter", help="2-D PCA CSV of embeddings")
-    p_scatter.add_argument("--run-dir", required=True)
-    p_scatter.add_argument("--which", choices=["train", "test"],
-                           default=argparse.SUPPRESS)
-    p_scatter.add_argument("--config", default=argparse.SUPPRESS)
-    p_scatter.set_defaults(func=cmd_export_scatter)
+    for command, (help_text, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names:
+            opt = OPTIONS[name]
+            p.add_argument("--" + name.replace("_", "-"), type=opt.type, choices=opt.choices,
+                           required=opt.required, default=argparse.SUPPRESS, help=opt.help)
+        # looked up on each call, so that a wrapped cmd_* is the one run
+        p.set_defaults(func=globals()["cmd_" + command.replace("-", "_")])
 
     p_fetch = sub.add_parser("fetch-mnist", help="download the IDX files (needs network)")
     p_fetch.add_argument("--dest", default="data/mnist")

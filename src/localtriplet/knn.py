@@ -137,6 +137,50 @@ def build_index(points, labels, metric: str = "euclidean") -> NeighborIndex:
     return NeighborIndex(points=pts, labels=lab, metric=metric)
 
 
+class Classes:
+    """Sample ids grouped by class.
+
+    members[start[c]:start[c] + count[c]] are the ascending ids of class
+    position c (classes in ascending label order); of[i] is the class
+    position of id i and rank[i] its place among its class's members.
+    """
+
+    def __init__(self, labels):
+        labels = np.asarray(labels).reshape(-1)
+        self.n = n = labels.size
+        self.members = np.argsort(labels, kind="stable")
+        grouped = labels[self.members]
+        edges = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1], [True])))
+        self.start, self.count = edges[:-1], np.diff(edges)
+        position = np.repeat(np.arange(self.count.size), self.count)   # of members[i]
+        self.of = np.empty(n, dtype=np.int64)
+        self.of[self.members] = position
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[self.members] = np.arange(n) - self.start[position]
+
+    def check(self, anchors: np.ndarray) -> np.ndarray:
+        """Class positions of the anchors; ValueError if one lacks a
+        positive or a negative."""
+        c = self.of[anchors]
+        alone = self.count[c] < 2
+        if np.any(alone):
+            raise ValueError(f"no_positive: class of anchor {anchors[alone][0]} "
+                             "has a single sample")
+        if np.any(self.count[c] == self.n):
+            raise ValueError("no_negative: the samples hold a single class")
+        return c
+
+    def member(self, c: np.ndarray, rank: np.ndarray) -> np.ndarray:
+        return self.members[self.start[c] + rank]
+
+    def outsider(self, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The r-th id, ascending, outside class c: r plus the number of
+        class members below it, which are those with id - rank <= r."""
+        stride = self.n + 1
+        gaps = self.of[self.members] * stride + self.members - self.rank[self.members]
+        return r + np.searchsorted(gaps, c * stride + r, side="right") - self.start[c]
+
+
 class ClassLayout:
     """Points in (label, id) order, so that each class is one contiguous slab
     of columns, and query rows in (label, query index) order, so that the
@@ -146,20 +190,19 @@ class ClassLayout:
     column of ScreenBlock.candidates) and rows[r] the query index of row r;
     own[r] is the column of row r's own point and cls[r] its class position,
     whose slab is columns starts[cls[r]] : starts[cls[r]] + counts[cls[r]].
+    queries None stands for every point, in id order.
     """
 
-    def __init__(self, labels, queries):
-        order = np.argsort(labels, kind="stable")
-        self.ids = np.append(order, labels.size)
-        grouped = labels[order]
-        self.starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
-        self.counts = np.diff(np.append(self.starts, grouped.size))
-        self.rows = np.argsort(labels[queries], kind="stable")
-        point = queries[self.rows]
-        column = np.empty_like(order)
-        column[order] = np.arange(grouped.size)
-        self.own = column[point]
-        self.cls = np.searchsorted(grouped[self.starts], labels[point])
+    def __init__(self, classes: Classes, queries=None):
+        self.ids = np.append(classes.members, classes.n)
+        self.starts, self.counts = classes.start, classes.count
+        if queries is None:
+            self.rows = point = classes.members
+        else:
+            self.rows = np.argsort(classes.of[queries], kind="stable")
+            point = queries[self.rows]
+        self.cls = classes.of[point]
+        self.own = self.starts[self.cls] + classes.rank[point]
 
 
 class ScreenBlock:
@@ -360,12 +403,12 @@ def screen(q: np.ndarray, p: np.ndarray, layout: ClassLayout | None = None):
 def class_screen(x: np.ndarray, labels, queries=None):
     """Yield the ScreenBlocks of x[queries] (every point, when None)
     against x, both in ClassLayout order; blk.layout.rows[blk.lo:blk.hi]
-    are the block rows' query indices."""
-    labels = np.asarray(labels)
-    self_query = queries is None
-    layout = ClassLayout(labels, np.arange(labels.size) if self_query else queries)
+    are the block rows' query indices. labels may be given as their
+    Classes grouping."""
+    classes = labels if isinstance(labels, Classes) else Classes(labels)
+    layout = ClassLayout(classes, queries)
     p = x[layout.ids[:-1]]
-    yield from screen(p if self_query else x[queries[layout.rows]], p, layout)
+    yield from screen(p if queries is None else x[queries[layout.rows]], p, layout)
 
 
 def topk(queries, points, k: int, exclude=None, metric: str = "euclidean"):
@@ -472,15 +515,15 @@ def take_snapshot(index: NeighborIndex, k: int, epoch: int = 0) -> NeighborhoodS
         raise ValueError(f"k_exceeds_n: k={k}, n={n} (self excluded)")
     # rank among its peers of each anchor's kth same-class neighbor, or of
     # its farthest peer when the class has k or fewer; -1 without a peer
-    _, inverse, counts = np.unique(index.labels, return_inverse=True, return_counts=True)
-    nth_pos = np.minimum(k, counts[inverse] - 1) - 1
+    classes = Classes(index.labels)
+    nth_pos = np.minimum(k, classes.count[classes.of] - 1) - 1
     has_positive = nth_pos >= 0
 
     neighbor_ids = np.empty((n, k), dtype=np.int64)
     d_ak = np.empty(n, dtype=np.float64)
     d_ak_pos = np.full(n, np.nan, dtype=np.float64)
     recomputed = 0
-    for blk in class_screen(index.points, index.labels):
+    for blk in class_screen(index.points, classes):
         rows = blk.layout.rows[blk.lo:blk.hi]
         cols, dists = blk.ranked(blk.kth_keep(k), k, "euclidean")
         recomputed += np.count_nonzero(cols < n)

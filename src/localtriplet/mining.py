@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import NeighborhoodSnapshot, class_screen
+from .knn import Classes, NeighborhoodSnapshot, class_screen
 
 
 @dataclass(frozen=True)
@@ -38,50 +38,6 @@ class Triplet:
     a: int
     p: int
     n: int
-
-
-class _Classes:
-    """Sample ids grouped by class.
-
-    members[start[c]:start[c] + count[c]] are the ascending ids of class
-    position c; of[i] is the class position of id i and rank[i] its place
-    among its class's members.
-    """
-
-    def __init__(self, labels):
-        labels = np.asarray(labels).reshape(-1)
-        self.n = n = labels.size
-        self.members = np.argsort(labels, kind="stable")
-        grouped = labels[self.members]
-        edges = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1], [True])))
-        self.start, self.count = edges[:-1], np.diff(edges)
-        position = np.repeat(np.arange(self.count.size), self.count)   # of members[i]
-        self.of = np.empty(n, dtype=np.int64)
-        self.of[self.members] = position
-        self.rank = np.empty(n, dtype=np.int64)
-        self.rank[self.members] = np.arange(n) - self.start[position]
-
-    def check(self, anchors: np.ndarray) -> np.ndarray:
-        """Class positions of the anchors; ValueError if one lacks a
-        positive or a negative."""
-        c = self.of[anchors]
-        alone = self.count[c] < 2
-        if np.any(alone):
-            raise ValueError(f"no_positive: class of anchor {anchors[alone][0]} "
-                             "has a single sample")
-        if np.any(self.count[c] == self.n):
-            raise ValueError("no_negative: the samples hold a single class")
-        return c
-
-    def member(self, c: np.ndarray, rank: np.ndarray) -> np.ndarray:
-        return self.members[self.start[c] + rank]
-
-    def outsider(self, c: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The r-th id, ascending, outside class c: r plus the number of
-        class members below it, which are those with id - rank <= r."""
-        stride = self.n + 1
-        gaps = self.of[self.members] * stride + self.members - self.rank[self.members]
-        return r + np.searchsorted(gaps, c * stride + r, side="right") - self.start[c]
 
 
 def _skip_ranks(excluded: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -97,14 +53,14 @@ def _anchor_array(anchors) -> np.ndarray:
 
 def trainable_anchors(labels) -> np.ndarray:
     """Ascending ids of the samples that have both a positive and a negative."""
-    classes = _Classes(labels)
+    classes = Classes(labels)
     size = classes.count[classes.of]
     return np.flatnonzero((size >= 2) & (size < classes.n))
 
 
 def mine_uniform(labels, anchors, rng: np.random.Generator) -> np.ndarray:
     """Uniform positive and negative for each anchor."""
-    classes = _Classes(labels)
+    classes = Classes(labels)
     anchors = _anchor_array(anchors)
     c = classes.check(anchors)
     highs = np.empty(2 * anchors.size, dtype=np.int64)
@@ -124,7 +80,7 @@ def mine_local(neighbor_ids, labels, anchors, rng: np.random.Generator) -> np.nd
     neither the anchor nor a neighbor. An empty local set falls back to the
     uniform pool of that side.
     """
-    classes = _Classes(labels)
+    classes = Classes(labels)
     anchors = _anchor_array(anchors)
     c = classes.check(anchors)
     hood = np.asarray(neighbor_ids, dtype=np.int64)[anchors]
@@ -157,10 +113,11 @@ def mine_hard(embeddings, labels, anchors) -> np.ndarray:
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
     anchors = _anchor_array(anchors)
-    _Classes(labels).check(anchors)
+    classes = Classes(labels)
+    classes.check(anchors)
     out = np.empty((anchors.size, 3), dtype=np.int64)
     out[:, 0] = anchors
-    for blk in class_screen(emb, labels, anchors):
+    for blk in class_screen(emb, classes, anchors):
         at = blk.layout.rows[blk.lo:blk.hi]
         cols, sq = blk.candidates(blk.extreme_keep(np.zeros(blk.est.shape, dtype=bool)),
                                   "sq_euclidean")

@@ -18,7 +18,7 @@ import json
 import resource
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -88,13 +88,9 @@ class EpochReport:
     peak_rss_mb: float | None = field(default=None, compare=False)
     snapshot_candidates: float | None = field(default=None, compare=False)
 
-    def to_json_line(self, include_wall_time: bool = False) -> str:
-        d = {k: v for k, v in self.__dict__.items() if v is not None}
-        for key in ("phase_times", "peak_rss_mb", "snapshot_candidates"):
-            d.pop(key, None)
-        if not include_wall_time:
-            d.pop("wall_time", None)
-        return json.dumps(d, sort_keys=True)
+    def to_json_line(self) -> str:
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        return json.dumps({k: v for k, v in d.items() if v is not None}, sort_keys=True)
 
     def timing_json_line(self) -> str:
         """The epoch's wall and per-phase seconds, peak memory and, for the

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import atomic_open
-from .knn import class_screen, topk
+from .knn import Classes, class_screen, topk
 from .mathops import as_sample_matrix
 
 
@@ -76,8 +76,9 @@ def check_optimal_condition(embeddings, labels, k: int, c_b: float, eps: float
     n = x.shape[0]
     if not (1 <= k <= n - 1):
         raise ValueError(f"k_exceeds_n: k={k}, n={n}")
+    classes = Classes(labels)
     d_ak, max_pos, min_neg = np.empty((3, n))
-    for blk in class_screen(x, labels):
+    for blk in class_screen(x, classes):
         rows = blk.layout.rows[blk.lo:blk.hi]
         cols, dists = blk.candidates(blk.extreme_keep(blk.kth_keep(k)), "euclidean")
         d_ak[rows] = np.partition(dists, k - 1, axis=1)[:, k - 1]
@@ -86,8 +87,7 @@ def check_optimal_condition(embeddings, labels, k: int, c_b: float, eps: float
         max_pos[rows] = np.max(np.where(peer & np.isfinite(dists), dists, -np.inf), axis=1)
         min_neg[rows] = np.min(np.where(peer, np.inf, dists), axis=1)
 
-    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    checked = counts[inverse] >= k + 1
+    checked = classes.count[classes.of] >= k + 1
     rhs = max_pos + c_b * d_ak + eps
     violations = [Violation(anchor=int(a), residual=float(rhs[a] - min_neg[a]),
                             d_ak=float(d_ak[a]), max_pos_dist=float(max_pos[a]),

@@ -1,10 +1,11 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from localtriplet.cli import main
+from localtriplet.cli import COMMANDS, main
 from localtriplet.data import load_dataset
 from localtriplet.knn import choose_k
 
@@ -227,3 +228,119 @@ def test_blobs_packing_failure_exit_3(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "r")])
     assert code == 3
     assert "packing_failed" in capsys.readouterr().err
+
+
+# 2 classes x 30 blob points, a third held out: 40 training points
+SMALL_ARGS = ["--classes", "2", "--per-class", "30", "--dim", "3", "--epochs", "1",
+              "--arch", "mlp:4"]
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _idx_dir(root, n_train=20, n_test=8):
+    """Synthetic 28x28 IDX files, two classes, under the standard names."""
+    rng = np.random.default_rng(3)
+    root.mkdir()
+    for prefix, n in (("train", n_train), ("t10k", n_test)):
+        images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+        (root / f"{prefix}-images-idx3-ubyte").write_bytes(
+            struct.pack(">iiii", 0x803, n, 28, 28) + images.tobytes())
+        (root / f"{prefix}-labels-idx1-ubyte").write_bytes(
+            struct.pack(">ii", 0x801, n) + (np.arange(n) % 2).astype(np.uint8).tobytes())
+    return str(root)
+
+
+def _run_with_manifest_k(tmp_path, k):
+    out = _train_run(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"]["k"] = k
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    return str(out)
+
+
+# _train_run trains on 120 points, so k = 120 leaves no point out
+BAD_INPUT = {
+    "config-int": lambda t: ["train", *SMALL_ARGS, "--config", _write(t / "c", "epochs = abc")],
+    "config-float": lambda t: ["train", *SMALL_ARGS, "--config", _write(t / "c", "c-b = x")],
+    "config-choice": lambda t: ["train", *SMALL_ARGS, "--config", _write(t / "c", "data = csv")],
+    "val-fraction": lambda t: ["train", *SMALL_ARGS, "--val-fraction", "-0.2"],
+    "test-fraction": lambda t: ["train", *SMALL_ARGS, "--test-fraction", "0"],
+    "arch": lambda t: ["train", *SMALL_ARGS, "--arch", "mlp:0"],
+    "subset": lambda t: ["train", "--data", "mnist", "--train-dir", _idx_dir(t / "idx"),
+                         "--subset", "21", "--epochs", "1"],
+    "train-k": lambda t: ["train", "--method", "mm", *SMALL_ARGS, "--k", "100"],
+    "train-k-n": lambda t: ["train", "--method", "softmax", *SMALL_ARGS, "--k", "40"],
+    "compare-k": lambda t: ["compare", *SMALL_ARGS, "--k", "100"],
+    "eval-k": lambda t: ["eval", "--run-dir", str(_train_run(t)), "--k", "120"],
+    "eval-k0": lambda t: ["eval", "--run-dir", str(_train_run(t)), "--k", "0"],
+    "verify-k": lambda t: ["verify", "--run-dir", str(_train_run(t)), "--k", "120"],
+    "eval-manifest-k": lambda t: ["eval", "--run-dir", _run_with_manifest_k(t, 120)],
+    "verify-manifest-k": lambda t: ["verify", "--run-dir", _run_with_manifest_k(t, 500)],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUT))
+def test_bad_input_exit_2(tmp_path, capsys, case):
+    argv = BAD_INPUT[case](tmp_path)
+    if argv[0] in ("train", "compare"):
+        argv += ["--out-dir", str(tmp_path / "r")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_k_range_upper_bound_accepted(tmp_path, capsys):
+    out = _train_run(tmp_path)
+    assert main(["eval", "--run-dir", str(out), "--k", "119"]) == 0
+    assert json.loads((out / "eval_report.json").read_text())["k"] == 119
+
+
+# one non-default value per train option, each as the flag would spell it
+TRAIN_VALUES = {
+    "data": "blobs", "train_dir": "unused", "subset": "5", "test_subset": "4",
+    "val_fraction": "0.1", "classes": "2", "per_class": "20", "dim": "3",
+    "spacing": "9.5", "std": "0.5", "data_seed": "4", "test_fraction": "0.25",
+    "method": "mm", "arch": "mlp:5,3", "k": "4", "batch_size": "16", "epochs": "1",
+    "convergence_eps": "0.5", "lr": "0.002", "seed": "8", "w_lm": "500", "w_ms": "0.5",
+    "w_md": "2", "w_ss": "0.25", "w_sd": "0.75", "c_b": "3.5", "eps": "0.01",
+    "margin_m": "1000",
+}
+
+
+def test_config_file_matches_flags_for_every_train_option(tmp_path):
+    # the manifest leaves out out_dir; config names the file itself
+    assert set(TRAIN_VALUES) == set(COMMANDS["train"][1]) - {"out_dir", "config"}
+    flags = [arg for name, value in TRAIN_VALUES.items()
+             for arg in ("--" + name.replace("_", "-"), value)]
+    assert main(["train", *flags, "--out-dir", str(tmp_path / "flags")]) == 0
+    # config keys alternately spelled with dashes and underscores
+    lines = [f"{name.replace('_', '-') if i % 2 else name} = {value}\n"
+             for i, (name, value) in enumerate(TRAIN_VALUES.items())]
+    cfg = _write(tmp_path / "run.cfg", "".join(lines))
+    assert main(["train", "--config", cfg, "--out-dir", str(tmp_path / "file")]) == 0
+    by_flags, by_file = (json.loads((tmp_path / d / "manifest.json").read_text())["config"]
+                         for d in ("flags", "file"))
+    assert (by_flags.pop("config"), by_file.pop("config")) == (None, cfg)
+    assert by_flags == by_file
+    assert by_file["k"] == 4 and by_file["w_lm"] == 500.0 and by_file["subset"] == 5
+    for name in ("epochs.jsonl", "checkpoint.npz"):
+        assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
+
+def test_eval_verify_report_config_file_source(tmp_path, capsys):
+    out = _train_run(tmp_path)
+    cfg = _write(tmp_path / "verify.cfg", "k = 3\nc-b = 4\neps = 0.002\n")
+    assert main(["verify", "--run-dir", str(out), "--config", cfg]) == 0
+    summary = json.loads((out / "verify_summary.json").read_text())
+    assert (summary["k"], summary["c_b"], summary["eps"]) == (3, 4.0, 0.002)
+    assert summary["sources"] == {"k": "config", "c_b": "config", "eps": "config"}
+    assert main(["verify", "--run-dir", str(out), "--config", cfg, "--eps", "0.5"]) == 0
+    summary = json.loads((out / "verify_summary.json").read_text())
+    assert summary["sources"] == {"k": "config", "c_b": "config", "eps": "flag"}
+    assert main(["eval", "--run-dir", str(out),
+                 "--config", _write(tmp_path / "eval.cfg", "k = 3\n")]) == 0
+    report = json.loads((out / "eval_report.json").read_text())
+    assert (report["k"], report["sources"]) == (3, {"k": "config"})
