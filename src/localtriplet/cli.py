@@ -177,8 +177,9 @@ def _resolve(ns: argparse.Namespace, run: Path | None = None):
     Returns ({name: value}, {name: "flag" | "config" | "manifest" | "default"})."""
     names = COMMANDS[ns.command][1]
     flags = vars(ns)
+    keys = set(names) - {"config"}     # a config file names no further config file
     layers = [("flag", flags),
-              ("config", _read_config_file(flags["config"], names) if flags.get("config") else {})]
+              ("config", _read_config_file(flags["config"], keys) if flags.get("config") else {})]
     if run is not None:
         layers.append(("manifest", _trained_options(run)))
     values, sources = {}, {}
@@ -214,6 +215,8 @@ def _load_data(opts: dict):
     """Build (train, val, test) datasets from resolved options; a fraction
     or subset size the split rejects is a ConfigError."""
     seed, val_frac = opts["data_seed"], opts["val_fraction"]
+    if not 0.0 <= val_frac < 1.0:
+        raise ConfigError(f"bad_fraction: val_fraction={val_frac} must be in [0, 1)")
     if opts["data"] == "mnist":
         try:
             full, test = (load_mnist_idx(_mnist_paths(opts["train_dir"], part + "_images"),
@@ -393,6 +396,13 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _scatter_xy(emb: np.ndarray) -> np.ndarray:
+    """2-D PCA coordinates; a 1-d embedding keeps its coordinate as x, y = 0."""
+    if emb.shape[1] < 2:
+        return np.column_stack([emb[:, 0], np.zeros(emb.shape[0])])
+    return pca_reduce(emb, 2)[0]
+
+
 def cmd_verify(ns: argparse.Namespace) -> int:
     opts, sources = _resolve(ns, Path(ns.run_dir))
     net, train_ds, queries, run = _load_run(opts["run_dir"])
@@ -413,9 +423,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     if queries is not None and queries.n:
         query_emb = net.embed(queries.samples)
         purity = purity_check(train_emb, train_ds.labels, query_emb, k, d_ak=condition.d_ak)
-        xy, _, _ = pca_reduce(query_emb, 2) if query_emb.shape[1] >= 2 else (
-            np.column_stack([query_emb[:, 0], np.zeros(queries.n)]), None, None)
-        write_scatter_csv(run / "purity.csv", xy, queries.labels,
+        write_scatter_csv(run / "purity.csv", _scatter_xy(query_emb), queries.labels,
                           status=purity.query_status)
         summary.update({
             "n_queries": purity.n_queries,
@@ -457,9 +465,7 @@ def cmd_export_scatter(ns: argparse.Namespace) -> int:
     ds = train_ds if opts["which"] == "train" else queries
     if ds is None or not ds.n:
         raise DataError(f"missing data file: {run / 'test.npz'}")
-    emb = net.embed(ds.samples)
-    xy, _components, _ev = pca_reduce(emb, 2)
-    write_scatter_csv(run / "scatter.csv", xy, ds.labels)
+    write_scatter_csv(run / "scatter.csv", _scatter_xy(net.embed(ds.samples)), ds.labels)
     print(f"wrote {run / 'scatter.csv'} ({ds.n} points)")
     return 0
 

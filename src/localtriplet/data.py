@@ -1,7 +1,8 @@
 """Dataset ingestion and generation.
 
 Readers for the big-endian IDX image/label format (gzip transparently
-supported), deterministic stratified splitting, isotropic Gaussian blob
+supported), the class grouping `Classes` that every per-class computation
+shares, deterministic stratified splitting, isotropic Gaussian blob
 generation for desk-scale experiments, and a versioned npz cache.
 
 Samples are stored flat (n, d) in float64 with the original tensor shape
@@ -48,10 +49,6 @@ class Dataset:
     def n(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def classes(self) -> np.ndarray:
-        return np.unique(self.labels)
-
     def subset(self, ids, split: str | None = None) -> "Dataset":
         ids = np.asarray(ids, dtype=np.int64)
         return Dataset(self.samples[ids], self.labels[ids], self.sample_shape,
@@ -64,6 +61,59 @@ class Dataset:
         h.update(self.samples.tobytes())
         h.update(self.labels.tobytes())
         return h.hexdigest()
+
+
+class Classes:
+    """Sample ids grouped by class.
+
+    members[start[c]:start[c] + count[c]] are the ascending ids of class
+    position c (classes in ascending label order); of[i] is the class
+    position of id i and rank[i] its place among its class's members.
+    """
+
+    def __init__(self, labels):
+        labels = np.asarray(labels).reshape(-1)
+        self.n = n = labels.size
+        self.members = np.argsort(labels, kind="stable")
+        grouped = labels[self.members]
+        edges = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1], [True])))
+        self.start, self.count = edges[:-1], np.diff(edges)
+        position = np.repeat(np.arange(self.count.size), self.count)   # of members[i]
+        self.of = np.empty(n, dtype=np.int64)
+        self.of[self.members] = position
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[self.members] = np.arange(n) - self.start[position]
+
+    def check(self, anchors: np.ndarray) -> np.ndarray:
+        """Class positions of the anchors; ValueError if one lacks a
+        positive or a negative."""
+        c = self.of[anchors]
+        alone = self.count[c] < 2
+        if np.any(alone):
+            raise ValueError(f"no_positive: class of anchor {anchors[alone][0]} "
+                             "has a single sample")
+        if np.any(self.count[c] == self.n):
+            raise ValueError("no_negative: the samples hold a single class")
+        return c
+
+    def member(self, c: np.ndarray, rank: np.ndarray) -> np.ndarray:
+        return self.members[self.start[c] + rank]
+
+    def outsider(self, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The r-th id, ascending, outside class c: r plus the number of
+        class members below it, which are those with id - rank <= r."""
+        stride = self.n + 1
+        gaps = self.of[self.members] * stride + self.members - self.rank[self.members]
+        return r + np.searchsorted(gaps, c * stride + r, side="right") - self.start[c]
+
+
+def shuffled_members(classes: Classes, rng: np.random.Generator) -> np.ndarray:
+    """classes.members with each class's ids shuffled by one
+    rng.permutation, classes in ascending label order."""
+    ids = classes.members.copy()
+    for lo, size in zip(classes.start, classes.count):
+        ids[lo:lo + size] = ids[lo:lo + size][rng.permutation(size)]
+    return ids
 
 
 def _open_maybe_gz(path):
@@ -108,28 +158,25 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
 
 def _largest_remainder(counts: np.ndarray, frac: float, target: int) -> np.ndarray:
     """Per-class allocation summing exactly to `target`, each within one
-    sample of frac * count."""
+    sample of frac * count: the |short| classes with room that come first by
+    remainder (largest first to add, smallest to remove) take one step."""
     exact = counts * frac
-    base = np.floor(exact).astype(np.int64)
-    base = np.minimum(base, counts)
+    base = np.minimum(np.floor(exact).astype(np.int64), counts)
     short = target - int(base.sum())
-    if short > 0:
-        order = np.lexsort((np.arange(counts.size), -(exact - base)))
-        for idx in order:
-            if short == 0:
-                break
-            if base[idx] < counts[idx]:
-                base[idx] += 1
-                short -= 1
-    elif short < 0:
-        order = np.lexsort((np.arange(counts.size), exact - base))
-        for idx in order:
-            if short == 0:
-                break
-            if base[idx] > 0:
-                base[idx] -= 1
-                short += 1
+    step = np.sign(short)
+    order = np.lexsort((np.arange(counts.size), step * (base - exact)))
+    room = base < counts if short > 0 else base > 0
+    base[order[room[order]][:abs(short)]] += step
     return base
+
+
+def _deal(classes: Classes, rng: np.random.Generator, *cuts) -> list[np.ndarray]:
+    """The ascending ids of len(cuts) + 1 parts: each class's ids in
+    shuffled_members order, cut at place cuts[p][class] for each p."""
+    ids = shuffled_members(classes, rng)
+    place, cls = classes.rank[classes.members], classes.of[classes.members]
+    part = sum(place >= cut[cls] for cut in cuts)
+    return [np.sort(ids[part == p]) for p in range(len(cuts) + 1)]
 
 
 def split(dataset: Dataset, train_frac: float, val_frac: float, seed: int):
@@ -144,30 +191,15 @@ def split(dataset: Dataset, train_frac: float, val_frac: float, seed: int):
     if train_frac + val_frac > 1.0 + 1e-12:
         raise ValueError(f"bad_fraction: train+val = {train_frac + val_frac} > 1")
 
-    rng = np.random.default_rng(seed)
-    classes = dataset.classes
-    counts = np.array([np.sum(dataset.labels == c) for c in classes])
-    n_train = _largest_remainder(counts, train_frac, round(train_frac * dataset.n))
-    remaining = counts - n_train
+    classes = Classes(dataset.labels)
+    n_train = _largest_remainder(classes.count, train_frac, round(train_frac * dataset.n))
+    remaining = classes.count - n_train
     n_val_target = min(round(val_frac * dataset.n), int(remaining.sum()))
     # allocate val proportionally out of what train left per class
     val_share = val_frac / max(1.0 - train_frac, 1e-12)
     n_val = _largest_remainder(remaining, val_share, n_val_target)
-
-    train_ids, val_ids, test_ids = [], [], []
-    for i, c in enumerate(classes):
-        members = np.flatnonzero(dataset.labels == c)
-        members = members[rng.permutation(members.size)]
-        a, b = int(n_train[i]), int(n_train[i] + n_val[i])
-        train_ids.append(members[:a])
-        val_ids.append(members[a:b])
-        test_ids.append(members[b:])
-    train_ids = np.sort(np.concatenate(train_ids))
-    val_ids = np.sort(np.concatenate(val_ids))
-    test_ids = np.sort(np.concatenate(test_ids))
-    return (dataset.subset(train_ids, "train"),
-            dataset.subset(val_ids, "val"),
-            dataset.subset(test_ids, "test"))
+    parts = _deal(classes, np.random.default_rng(seed), n_train, n_train + n_val)
+    return tuple(dataset.subset(ids, name) for ids, name in zip(parts, ("train", "val", "test")))
 
 
 def stratified_subset(dataset: Dataset, n: int, seed: int) -> Dataset:
@@ -176,16 +208,10 @@ def stratified_subset(dataset: Dataset, n: int, seed: int) -> Dataset:
         raise ValueError(f"bad_subset: n={n} of {dataset.n}")
     if n == dataset.n:
         return dataset
-    rng = np.random.default_rng(seed)
-    classes = dataset.classes
-    counts = np.array([np.sum(dataset.labels == c) for c in classes])
-    take = _largest_remainder(counts, n / dataset.n, n)
-    ids = []
-    for i, c in enumerate(classes):
-        members = np.flatnonzero(dataset.labels == c)
-        members = members[rng.permutation(members.size)]
-        ids.append(members[:take[i]])
-    return dataset.subset(np.sort(np.concatenate(ids)))
+    classes = Classes(dataset.labels)
+    take = _largest_remainder(classes.count, n / dataset.n, n)
+    ids, _rest = _deal(classes, np.random.default_rng(seed), take)
+    return dataset.subset(ids)
 
 
 def make_blobs(classes: int, per_class: int, dim: int, spacing: float,

@@ -91,6 +91,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .data import Classes
 from .mathops import as_sample_matrix
 
 # query rows * points of one screened block: 512 KB of float64 estimates,
@@ -135,50 +136,6 @@ def build_index(points, labels, metric: str = "euclidean") -> NeighborIndex:
     pts.setflags(write=False)
     lab.setflags(write=False)
     return NeighborIndex(points=pts, labels=lab, metric=metric)
-
-
-class Classes:
-    """Sample ids grouped by class.
-
-    members[start[c]:start[c] + count[c]] are the ascending ids of class
-    position c (classes in ascending label order); of[i] is the class
-    position of id i and rank[i] its place among its class's members.
-    """
-
-    def __init__(self, labels):
-        labels = np.asarray(labels).reshape(-1)
-        self.n = n = labels.size
-        self.members = np.argsort(labels, kind="stable")
-        grouped = labels[self.members]
-        edges = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1], [True])))
-        self.start, self.count = edges[:-1], np.diff(edges)
-        position = np.repeat(np.arange(self.count.size), self.count)   # of members[i]
-        self.of = np.empty(n, dtype=np.int64)
-        self.of[self.members] = position
-        self.rank = np.empty(n, dtype=np.int64)
-        self.rank[self.members] = np.arange(n) - self.start[position]
-
-    def check(self, anchors: np.ndarray) -> np.ndarray:
-        """Class positions of the anchors; ValueError if one lacks a
-        positive or a negative."""
-        c = self.of[anchors]
-        alone = self.count[c] < 2
-        if np.any(alone):
-            raise ValueError(f"no_positive: class of anchor {anchors[alone][0]} "
-                             "has a single sample")
-        if np.any(self.count[c] == self.n):
-            raise ValueError("no_negative: the samples hold a single class")
-        return c
-
-    def member(self, c: np.ndarray, rank: np.ndarray) -> np.ndarray:
-        return self.members[self.start[c] + rank]
-
-    def outsider(self, c: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The r-th id, ascending, outside class c: r plus the number of
-        class members below it, which are those with id - rank <= r."""
-        stride = self.n + 1
-        gaps = self.of[self.members] * stride + self.members - self.rank[self.members]
-        return r + np.searchsorted(gaps, c * stride + r, side="right") - self.start[c]
 
 
 class ClassLayout:

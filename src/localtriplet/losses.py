@@ -30,10 +30,7 @@ class LossWeights:
     Defaults follow the reference digit-image configuration: heavy hinge
     weight, unit mean regularizers, no same-class variance term.
 
-    w_sd weighs the variance of the different-class distances. The source
-    display arguably reads that term as the same-class variance twice;
-    sd_term_uses_different_class_variance=False reproduces that literal
-    reading for A/B comparisons.
+    w_sd weighs the variance of the different-class distances.
     """
 
     w_lm: float = 1000.0
@@ -44,7 +41,6 @@ class LossWeights:
     c_b: float = 3.0
     eps: float = 1e-3
     fixed_margin_m: float = 1_000_000.0
-    sd_term_uses_different_class_variance: bool = True
 
     def __post_init__(self):
         for name in ("w_lm", "w_ms", "w_md", "w_ss", "w_sd", "fixed_margin_m"):
@@ -139,13 +135,9 @@ def combined_loss(
     can be negative through the -w_md*mu_d term. Gradients are per
     triplet role; callers accumulate them per unique sample.
     """
-    xa = np.asarray(xa, dtype=np.float64)
-    xp = np.asarray(xp, dtype=np.float64)
-    xn = np.asarray(xn, dtype=np.float64)
-    if xa.ndim != 2 or xa.shape[0] == 0:
+    if np.ndim(xa) != 2 or np.shape(xa)[0] == 0:
         raise ValueError("empty_batch: need at least one triplet")
-    if not (xa.shape == xp.shape == xn.shape):
-        raise ValueError(f"dim_mismatch: {xa.shape}, {xp.shape}, {xn.shape}")
+    xa, xp, xn = _check_triplet_dims(xa, xp, xn)
     b = xa.shape[0]
 
     if margin == "local":
@@ -176,21 +168,18 @@ def combined_loss(
     stats = BatchStats(mu_s=mu_s, mu_d=mu_d, var_s=var_s, var_d=var_d)
 
     w = weights
-    var_s_w, var_d_w = (w.w_ss, w.w_sd)
-    if not w.sd_term_uses_different_class_variance:
-        var_s_w, var_d_w = (w.w_ss + w.w_sd, 0.0)
     value = (
         w.w_lm * hinge_sum
         + w.w_ms * mu_s
         - w.w_md * mu_d
-        + var_s_w * var_s
-        + var_d_w * var_d
+        + w.w_ss * var_s
+        + w.w_sd * var_d
     )
 
     # dL/dD_ap and dL/dD_an per triplet: hinge indicator plus the
     # mean/variance chain (d var / d D_i = 2/B * (D_i - mu)).
-    coef_p = w.w_lm * active + w.w_ms / b + var_s_w * (2.0 / b) * (d_ap - mu_s)
-    coef_n = -w.w_lm * active - w.w_md / b + var_d_w * (2.0 / b) * (d_an - mu_d)
+    coef_p = w.w_lm * active + w.w_ms / b + w.w_ss * (2.0 / b) * (d_ap - mu_s)
+    coef_n = -w.w_lm * active - w.w_md / b + w.w_sd * (2.0 / b) * (d_an - mu_d)
 
     grad_a = 2.0 * (coef_p[:, None] * diff_p + coef_n[:, None] * diff_n)
     grad_p = -2.0 * coef_p[:, None] * diff_p

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knn import Classes, NeighborhoodSnapshot, class_screen
+from .data import Classes
+from .knn import NeighborhoodSnapshot, class_screen
 
 
 @dataclass(frozen=True)

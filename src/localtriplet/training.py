@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Classes, Dataset, shuffled_members
 from .knn import build_index, choose_k, take_snapshot, topk
 from .losses import LossWeights, combined_loss
 from .mining import mine_hard, mine_local, mine_uniform, trainable_anchors
@@ -143,10 +143,10 @@ def _triplet_step(net, emb, caches, rows, d_ak_pos, weights, margin, adam):
 def _hardmin_batches(labels, batch_size, rng):
     """Class-balanced batches: ceil(batch/classes) anchors per class per
     batch, drawn without replacement from per-class shuffled pools."""
-    classes = np.unique(labels)
-    per = max(1, -(-batch_size // classes.size))
-    pools = [rng.permutation(np.flatnonzero(labels == c)) for c in classes]
-    for lo in range(0, max(pool.size for pool in pools), per):
+    classes = Classes(labels)
+    per = max(1, -(-batch_size // classes.count.size))
+    pools = np.split(shuffled_members(classes, rng), classes.start[1:])
+    for lo in range(0, classes.count.max(), per):
         yield np.sort(np.concatenate([pool[lo:lo + per] for pool in pools]))
 
 
@@ -272,10 +272,10 @@ def train(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
     is tracked and the best-validation parameters are restored at the
     end. Divergence raises DivergedError carrying the partial reports.
     """
-    if dataset.classes.size < 2 and config.method != "softmax":
+    if np.unique(dataset.labels).size < 2 and config.method != "softmax":
         raise ValueError("no_negative: training needs at least two classes")
     if config.method == "softmax" and head is None:
-        head = SoftmaxHead(net.out_dim, int(dataset.classes.max()) + 1,
+        head = SoftmaxHead(net.out_dim, int(dataset.labels.max()) + 1,
                            seed=config.seed + 1)
     rng = np.random.default_rng(config.seed)
     opt_params = net.params + (head.params if config.method == "softmax" and head else [])

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import atomic_open
-from .knn import Classes, class_screen, topk
+from .data import Classes
+from .knn import class_screen, topk
 from .mathops import as_sample_matrix
 
 

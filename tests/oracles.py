@@ -331,3 +331,80 @@ def exhaustive_mine_hard(embeddings, labels, anchors):
         out[lo:hi, 1] = np.argmax(np.where(peer, sq, -np.inf), axis=1)
         out[lo:hi, 2] = np.argmin(np.where(same, np.inf, sq), axis=1)
     return out
+
+
+# Loop references for the class-stratified draws: per-class member lists
+# rebuilt with np.unique and a labels == c scan per class, one
+# rng.permutation per class in ascending label order, and the largest-
+# remainder allocation as two one-at-a-time passes.
+
+def loop_largest_remainder(counts, frac, target):
+    exact = counts * frac
+    base = np.floor(exact).astype(np.int64)
+    base = np.minimum(base, counts)
+    short = target - int(base.sum())
+    if short > 0:
+        order = np.lexsort((np.arange(counts.size), -(exact - base)))
+        for idx in order:
+            if short == 0:
+                break
+            if base[idx] < counts[idx]:
+                base[idx] += 1
+                short -= 1
+    elif short < 0:
+        order = np.lexsort((np.arange(counts.size), exact - base))
+        for idx in order:
+            if short == 0:
+                break
+            if base[idx] > 0:
+                base[idx] -= 1
+                short += 1
+    return base
+
+
+def loop_split_ids(labels, train_frac, val_frac, seed):
+    """(train, val, test) ascending ids of data.split on these labels."""
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(seed)
+    classes = np.unique(labels)
+    counts = np.array([np.sum(labels == c) for c in classes])
+    n_train = loop_largest_remainder(counts, train_frac, round(train_frac * labels.size))
+    remaining = counts - n_train
+    n_val_target = min(round(val_frac * labels.size), int(remaining.sum()))
+    val_share = val_frac / max(1.0 - train_frac, 1e-12)
+    n_val = loop_largest_remainder(remaining, val_share, n_val_target)
+    train_ids, val_ids, test_ids = [], [], []
+    for i, c in enumerate(classes):
+        members = np.flatnonzero(labels == c)
+        members = members[rng.permutation(members.size)]
+        a, b = int(n_train[i]), int(n_train[i] + n_val[i])
+        train_ids.append(members[:a])
+        val_ids.append(members[a:b])
+        test_ids.append(members[b:])
+    return tuple(np.sort(np.concatenate(ids)) for ids in (train_ids, val_ids, test_ids))
+
+
+def loop_subset_ids(labels, n, seed):
+    """Ascending ids of data.stratified_subset(n) on these labels."""
+    labels = np.asarray(labels)
+    if n == labels.size:
+        return np.arange(n)
+    rng = np.random.default_rng(seed)
+    classes = np.unique(labels)
+    counts = np.array([np.sum(labels == c) for c in classes])
+    take = loop_largest_remainder(counts, n / labels.size, n)
+    ids = []
+    for i, c in enumerate(classes):
+        members = np.flatnonzero(labels == c)
+        members = members[rng.permutation(members.size)]
+        ids.append(members[:take[i]])
+    return np.sort(np.concatenate(ids))
+
+
+def loop_hardmin_batches(labels, batch_size, rng):
+    """The class-balanced batches of training._hardmin_batches."""
+    classes = np.unique(labels)
+    per = max(1, -(-batch_size // classes.size))
+    pools = [rng.permutation(np.flatnonzero(labels == c)) for c in classes]
+    for lo in range(0, max(pool.size for pool in pools), per):
+        yield np.sort(np.concatenate([pool[lo:lo + per] for pool in pools]))

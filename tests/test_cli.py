@@ -173,6 +173,13 @@ def test_export_scatter(tmp_path):
                                         else '{"n_queries": 60}').get("n_queries", 60)
 
 
+def test_export_scatter_1d_embedding(tmp_path, capsys):
+    out = _train_run(tmp_path, extra=("--arch", "mlp:4,1"))
+    assert main(["export-scatter", "--run-dir", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "scatter.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 60 and all(float(row[2]) == 0.0 for row in rows)
+
+
 def test_compare_table(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = main(["compare", *BLOB_ARGS, "--epochs", "1", "--batch-size", "32",
@@ -267,6 +274,11 @@ BAD_INPUT = {
     "config-float": lambda t: ["train", *SMALL_ARGS, "--config", _write(t / "c", "c-b = x")],
     "config-choice": lambda t: ["train", *SMALL_ARGS, "--config", _write(t / "c", "data = csv")],
     "val-fraction": lambda t: ["train", *SMALL_ARGS, "--val-fraction", "-0.2"],
+    "mnist-val-fraction": lambda t: ["train", "--data", "mnist", "--train-dir",
+                                     _idx_dir(t / "idx"), "--val-fraction", "-0.2",
+                                     "--epochs", "1"],
+    "config-config": lambda t: ["train", *SMALL_ARGS, "--config",
+                                _write(t / "c", f"config = {t / 'other.cfg'}")],
     "test-fraction": lambda t: ["train", *SMALL_ARGS, "--test-fraction", "0"],
     "arch": lambda t: ["train", *SMALL_ARGS, "--arch", "mlp:0"],
     "subset": lambda t: ["train", "--data", "mnist", "--train-dir", _idx_dir(t / "idx"),

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -266,9 +264,6 @@ def test_sd_term_literal_reading_constant():
     value_default, *_ = combined_loss(xa, xp, xn, w, margin="fixed")
     _, _, _, _, stats, _ = combined_loss(xa, xp, xn, w, margin="fixed")
     assert value_default == pytest.approx(0.5 * stats.var_s + 2.0 * stats.var_d)
-    literal = replace(w, sd_term_uses_different_class_variance=False)
-    value_literal, *_ = combined_loss(xa, xp, xn, literal, margin="fixed")
-    assert value_literal == pytest.approx((0.5 + 2.0) * stats.var_s)
 
 
 def test_loss_weights_validation():
