@@ -76,8 +76,8 @@ class Classes:
         self.n = n = labels.size
         self.members = np.argsort(labels, kind="stable")
         grouped = labels[self.members]
-        edges = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1], [True])))
-        self.start, self.count = edges[:-1], np.diff(edges)
+        self.start = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1]))[:n])
+        self.count = np.diff(np.append(self.start, n))
         position = np.repeat(np.arange(self.count.size), self.count)   # of members[i]
         self.of = np.empty(n, dtype=np.int64)
         self.of[self.members] = position

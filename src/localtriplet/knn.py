@@ -22,11 +22,18 @@ with GPUs*, arXiv 1702.08734, with the re-rank added):
 
 The results equal an exhaustive sorted scan for every n, ties included.
 
+The own-column rule. A query row may leave out one column, its own (the
+excluded id of ``topk``, or the point itself in the class-sorted layout):
+its estimate is -inf, so it comes first in every partition (the kth
+smallest other column is at partition index k) and is never a largest
+value, and it is dropped from the candidates before the exact re-rank.
+
 Class-conditioned statistics (the snapshot's kth nearest and kth nearest
 same-class, the optimal-condition check's largest same-class and smallest
 other-class distance, batch-hard mining) use a class-sorted layout: the
-points are sorted once per call by (label, id), so each class is one
-contiguous slab of columns and the query rows of a class are adjacent.
+points are sorted once per call by (label, id) and screened against
+themselves, so each class is one contiguous slab of columns, the rows of
+a class are adjacent and row r's own column is r.
 
 * The slab bound. S_i, the kth smallest estimate over row i's slab, is the
   statistic of its kth same-class neighbor, and since the slab is a subset
@@ -140,26 +147,18 @@ def build_index(points, labels, metric: str = "euclidean") -> NeighborIndex:
 
 class ClassLayout:
     """Points in (label, id) order, so that each class is one contiguous slab
-    of columns, and query rows in (label, query index) order, so that the
-    rows of one class are adjacent.
+    of columns; the screen's rows are the same points in the same order, so
+    row r's own column is r.
 
     ids[j] is the point id of column j (ids[n] = n, the id of the padding
-    column of ScreenBlock.candidates) and rows[r] the query index of row r;
-    own[r] is the column of row r's own point and cls[r] its class position,
-    whose slab is columns starts[cls[r]] : starts[cls[r]] + counts[cls[r]].
-    queries None stands for every point, in id order.
+    column of ScreenBlock.candidates) and cls[j] its class position, whose
+    slab is columns starts[cls[j]] : starts[cls[j]] + counts[cls[j]].
     """
 
-    def __init__(self, classes: Classes, queries=None):
+    def __init__(self, classes: Classes):
         self.ids = np.append(classes.members, classes.n)
         self.starts, self.counts = classes.start, classes.count
-        if queries is None:
-            self.rows = point = classes.members
-        else:
-            self.rows = np.argsort(classes.of[queries], kind="stable")
-            point = queries[self.rows]
-        self.cls = classes.of[point]
-        self.own = self.starts[self.cls] + classes.rank[point]
+        self.cls = classes.of[classes.members]
 
 
 class ScreenBlock:
@@ -167,17 +166,22 @@ class ScreenBlock:
 
     est[r, j] is the Gram estimate of the squared distance from query
     lo + r to point j, within window[r] / 2 of its pinned value (see the
-    module docstring). With a ClassLayout, rows and columns are in its
-    order, each row's own column estimate is -inf, so that it comes first
-    in every partition and is never a largest value, and slab[r] holds the
-    estimates of row r's class slab, read at the flat indices slab_at[r]
-    of est, the last column repeated up to the widest slab of the block.
+    module docstring). own, if given, is every query row's own column (the
+    own-column rule): the block sets its estimate to -inf, and candidates
+    drops it. With a ClassLayout, rows and columns are in its order, and
+    slab[r] holds the estimates of row r's class slab, read at the flat
+    indices slab_at[r] of est, the last column repeated up to the widest
+    slab of the block.
     The next block of the same screen overwrites est.
     """
 
-    def __init__(self, q, p, lo, est, window, layout=None):
+    def __init__(self, q, p, lo, est, window, own=None, layout=None):
         self.q, self.p, self.lo, self.hi = q, p, lo, lo + est.shape[0]
         self.est, self.window, self.layout = est, window, layout
+        # (rows, own columns): the own entries of est
+        self.own = None if own is None else (np.arange(est.shape[0]), own[lo:self.hi])
+        if self.own is not None:
+            est[self.own] = -np.inf
         if layout is not None:
             _, start, stop = self._slabs()
             self.size = stop - start
@@ -192,14 +196,15 @@ class ScreenBlock:
         last = np.minimum(np.arange(self.size.max()), self.size[:, None] - 1)
         return last + (start + self.est.shape[1] * np.arange(start.size))[:, None]
 
-    def smallest(self, nth):
-        """Candidate mask for each row's nth smallest distance (nth 0-based):
-        the columns whose estimate is not above the row's nth smallest
-        estimate plus the window. A non-finite estimate, statistic or
-        window keeps the column."""
-        e = self.est.copy()
-        e.partition(nth, axis=1)
-        return ~(self.est > (e[:, nth] + self.window)[:, None])
+    def smallest(self, k: int, rows=slice(None)):
+        """Candidate mask for the k nearest other points of each row (of
+        rows, if given): the columns whose estimate is not above the row's
+        kth smallest estimate, its own column not counted, plus the window.
+        A non-finite estimate, statistic or window keeps the column."""
+        est = self.est[rows]
+        nth = k if self.own is not None else k - 1
+        kth = np.partition(est, nth, axis=1)[:, nth]
+        return ~(est > (kth + self.window[rows])[:, None])
 
     def _slabs(self):
         """(cls, start, stop): each row's class position and slab columns."""
@@ -223,9 +228,9 @@ class ScreenBlock:
         smallest of the whole row, so one compare est <= S_i + window keeps
         the candidates of both. Where that keeps more than 2k columns a
         row in the block (overlapping classes), or the class is too small
-        for S_i, the kth smallest estimate E_i of the full row is taken, and
-        the columns kept are est <= E_i + window and the slab's
-        est <= S_i + window (every slab column without S_i)."""
+        for S_i, those rows take smallest(k) over the full row together
+        with the slab's est <= S_i + window (every slab column without
+        S_i)."""
         est, w, big = self.est, self.window[:, None], self.size > k
         bound = np.full(w.shape, np.inf)
         if np.any(big):
@@ -241,8 +246,7 @@ class ScreenBlock:
             wide[:] = True          # the fallback rule
         if np.any(wide):
             rows = slice(None) if np.all(wide) else np.flatnonzero(wide)
-            row = est[rows]
-            keep[rows] = ~(row > np.partition(row, k, axis=1)[:, k:k + 1] + w[rows])
+            keep[rows] = self.smallest(k, rows)
             keep.flat[self.slab_at[rows][~(self.slab[rows] > bound[rows])]] = True
         return keep
 
@@ -267,10 +271,10 @@ class ScreenBlock:
     def candidates(self, keep, metric: str):
         """(cols, dists), both (rows, w): every row's kept columns in
         ascending order and their distances recomputed exactly, padded with
-        (n, inf) up to the widest row. With a ClassLayout, a row's own
-        column is never an entry."""
-        if self.layout is not None:
-            keep[np.arange(keep.shape[0]), self.layout.own[self.lo:self.hi]] = False
+        (n, inf) up to the widest row. A row's own column is never an
+        entry."""
+        if self.own is not None:
+            keep[self.own] = False
         rows, cols = _entries(keep)
         counts = np.bincount(rows, minlength=keep.shape[0])
         slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
@@ -298,18 +302,6 @@ class ScreenBlock:
             dists = np.take_along_axis(dists, order, axis=1)
         return np.take_along_axis(cols, order, axis=1), dists
 
-    def nearest(self, k: int, own=None, metric: str = "euclidean"):
-        """(ids, dists), both (rows, k): each row's k nearest points in
-        ascending (distance, id) order. own, if given, indexes one (row,
-        column) entry per row that is left out; its estimate becomes inf."""
-        if own is not None:
-            self.est[own] = np.inf
-        keep = self.smallest(k - 1)
-        if own is not None:
-            keep[own] = False
-        cols, dists = self.ranked(keep, k, metric)
-        return self.point_ids(cols[:, :k]), dists[:, :k]
-
 
 def _entries(keep):
     """(rows, cols) of the True entries of a 2-D mask, in row-major order."""
@@ -332,10 +324,10 @@ def _pinned(q, p, qi, pj, metric: str) -> np.ndarray:
     return np.sqrt(out, out=out) if metric == "euclidean" else out
 
 
-def screen(q: np.ndarray, p: np.ndarray, layout: ClassLayout | None = None):
+def screen(q: np.ndarray, p: np.ndarray, own=None, layout: ClassLayout | None = None):
     """Yield a ScreenBlock for each block of at most BLOCK_ELEMENTS query
     rows x points of the float64 matrices q and p (in layout order, if
-    given)."""
+    given). own, if given, is the column each query row leaves out."""
     (m, dim), n = q.shape, p.shape[0]
     centre = np.mean(p, axis=0)
     b = p - centre
@@ -352,20 +344,19 @@ def screen(q: np.ndarray, p: np.ndarray, layout: ClassLayout | None = None):
         est = np.matmul(a[lo:hi], b.T, out=buf[:hi - lo])
         est += na[lo:hi, None]
         est += nb
-        if layout is not None:
-            est[np.arange(hi - lo), layout.own[lo:hi]] = -np.inf
-        yield ScreenBlock(q, p, lo, est, window[lo:hi], layout)
+        yield ScreenBlock(q, p, lo, est, window[lo:hi], own, layout)
 
 
-def class_screen(x: np.ndarray, labels, queries=None):
-    """Yield the ScreenBlocks of x[queries] (every point, when None)
-    against x, both in ClassLayout order; blk.layout.rows[blk.lo:blk.hi]
-    are the block rows' query indices. labels may be given as their
-    Classes grouping."""
+def class_screen(x: np.ndarray, labels):
+    """Yield the ScreenBlocks of x against itself in ClassLayout order, each
+    row leaving out its own column; blk.layout.ids[blk.lo:blk.hi] are the
+    block rows' point ids. labels may be given as their Classes grouping."""
     classes = labels if isinstance(labels, Classes) else Classes(labels)
-    layout = ClassLayout(classes, queries)
+    if classes.n != x.shape[0]:
+        raise ValueError(f"label_mismatch: {x.shape[0]} points vs {classes.n} labels")
+    layout = ClassLayout(classes)
     p = x[layout.ids[:-1]]
-    yield from screen(p if queries is None else x[queries[layout.rows]], p, layout)
+    yield from screen(p, p, np.arange(classes.n), layout)
 
 
 def topk(queries, points, k: int, exclude=None, metric: str = "euclidean"):
@@ -385,17 +376,23 @@ def topk(queries, points, k: int, exclude=None, metric: str = "euclidean"):
         raise ValueError(f"bad_metric: {metric}")
     q = as_sample_matrix(queries)
     p = as_sample_matrix(points)
+    (m, _), n = q.shape, p.shape[0]
     if q.shape[1] != p.shape[1]:
         raise ValueError(f"dim_mismatch: queries {q.shape} vs points {p.shape}")
-    avail = p.shape[0] - (1 if exclude is not None else 0)
+    if exclude is not None:
+        exclude = np.asarray(exclude)
+        if (exclude.shape != (m,) or exclude.dtype.kind not in "iu"
+                or exclude.min() < 0 or exclude.max() >= n):
+            raise ValueError(f"bad_exclude: expected {m} point ids in [0, {n}), "
+                             f"got {exclude.dtype} array of shape {exclude.shape}")
+    avail = n - (1 if exclude is not None else 0)
     if k < 1 or k > avail:
         raise ValueError(f"k_exceeds_n: k={k}, available={avail}")
-    ids = np.empty((q.shape[0], k), dtype=np.int64)
-    dists = np.empty((q.shape[0], k), dtype=np.float64)
-    for blk in screen(q, p):
-        own = None if exclude is None else (
-            np.arange(blk.hi - blk.lo), np.asarray(exclude)[blk.lo:blk.hi])
-        ids[blk.lo:blk.hi], dists[blk.lo:blk.hi] = blk.nearest(k, own, metric)
+    ids = np.empty((m, k), dtype=np.int64)
+    dists = np.empty((m, k), dtype=np.float64)
+    for blk in screen(q, p, exclude):
+        cols, d = blk.ranked(blk.smallest(k), k, metric)
+        ids[blk.lo:blk.hi], dists[blk.lo:blk.hi] = cols[:, :k], d[:, :k]
     return ids, dists
 
 
@@ -481,7 +478,7 @@ def take_snapshot(index: NeighborIndex, k: int, epoch: int = 0) -> NeighborhoodS
     d_ak_pos = np.full(n, np.nan, dtype=np.float64)
     recomputed = 0
     for blk in class_screen(index.points, classes):
-        rows = blk.layout.rows[blk.lo:blk.hi]
+        rows = blk.layout.ids[blk.lo:blk.hi]
         cols, dists = blk.ranked(blk.kth_keep(k), k, "euclidean")
         recomputed += np.count_nonzero(cols < n)
         neighbor_ids[rows] = blk.point_ids(cols[:, :k])

@@ -112,14 +112,14 @@ def mine_hard(embeddings, labels, anchors) -> np.ndarray:
     """Hardest in-batch positive (largest squared distance) and negative
     (smallest) for each anchor row of a batch, ties to the lower row."""
     emb = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
     anchors = _anchor_array(anchors)
     classes = Classes(labels)
     classes.check(anchors)
-    out = np.empty((anchors.size, 3), dtype=np.int64)
-    out[:, 0] = anchors
-    for blk in class_screen(emb, classes, anchors):
-        at = blk.layout.rows[blk.lo:blk.hi]
+    if anchors.size == 0:
+        return np.empty((0, 3), dtype=np.int64)
+    hardest = np.empty((classes.n, 2), dtype=np.int64)   # (positive, negative) per row
+    for blk in class_screen(emb, classes):
+        at = blk.layout.ids[blk.lo:blk.hi]
         cols, sq = blk.candidates(blk.extreme_keep(np.zeros(blk.est.shape, dtype=bool)),
                                   "sq_euclidean")
         peer = blk.peers(cols)
@@ -129,13 +129,13 @@ def mine_hard(embeddings, labels, anchors) -> np.ndarray:
         # lowest id among the hits, and row 0 when every negative distance
         # is infinite, as np.argmin would give on an all-inf row.
         ids = blk.point_ids(cols)
-        out[at, 1] = ids[np.arange(at.size), np.argmax(np.where(peer, sq, -np.inf), axis=1)]
+        hardest[at, 0] = ids[np.arange(at.size), np.argmax(np.where(peer, sq, -np.inf), axis=1)]
         neg = np.where(peer, np.inf, sq)
         least = np.min(neg, axis=1, keepdims=True)      # NaN if the row has one
         hits = np.where(np.isnan(least), np.isnan(neg), neg == least)
-        first = np.min(np.where(hits, ids, labels.size), axis=1)
-        out[at, 2] = np.where(least[:, 0] == np.inf, 0, first)
-    return out
+        first = np.min(np.where(hits, ids, classes.n), axis=1)
+        hardest[at, 1] = np.where(least[:, 0] == np.inf, 0, first)
+    return np.column_stack([anchors, hardest[anchors]])
 
 
 def _one(rows: np.ndarray) -> Triplet:

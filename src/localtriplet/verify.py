@@ -80,7 +80,7 @@ def check_optimal_condition(embeddings, labels, k: int, c_b: float, eps: float
     classes = Classes(labels)
     d_ak, max_pos, min_neg = np.empty((3, n))
     for blk in class_screen(x, classes):
-        rows = blk.layout.rows[blk.lo:blk.hi]
+        rows = blk.layout.ids[blk.lo:blk.hi]
         cols, dists = blk.candidates(blk.extreme_keep(blk.kth_keep(k)), "euclidean")
         d_ak[rows] = np.partition(dists, k - 1, axis=1)[:, k - 1]
         peer = blk.peers(cols)

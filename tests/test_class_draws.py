@@ -94,3 +94,10 @@ def test_classes_group_unsorted_noncontiguous_labels():
     assert classes.members.tolist() == [1, 5, 0, 3, 4, 2]
     assert classes.of.tolist() == [1, 0, 2, 1, 1, 0]
     assert classes.rank.tolist() == [0, 0, 0, 1, 2, 1]
+
+
+def test_classes_of_no_labels_is_empty():
+    classes = Classes(np.array([], dtype=np.int64))
+    assert classes.n == 0
+    for arr in (classes.start, classes.count, classes.members, classes.of, classes.rank):
+        assert arr.shape == (0,) and arr.dtype == np.int64

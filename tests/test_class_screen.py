@@ -113,7 +113,7 @@ def test_blocks_span_classes_and_classes_span_blocks(monkeypatch, k):
     labels = _shuffled_labels([4, 5, 3, 48], [2, 3, 5, 8], seed=5)
     pts = rng.standard_normal((labels.size, 4))
     monkeypatch.setattr("localtriplet.knn.BLOCK_ELEMENTS", 14 * labels.size)
-    blocks = [np.unique(labels[blk.layout.rows[blk.lo:blk.hi]])
+    blocks = [np.unique(labels[blk.layout.ids[blk.lo:blk.hi]])
               for blk in class_screen(pts, labels)]
     assert max(b.size for b in blocks) >= 3
     assert sum(8 in b for b in blocks) >= 3
@@ -146,3 +146,14 @@ def test_overlapping_classes_take_the_full_row_fallback(k):
               for p, r in zip(pts, snap.d_ak_pos)]
     assert np.mean(within) > 3 * k
     assert k < snap.candidates <= 2 * k
+
+
+@pytest.mark.parametrize("caller", ["mine_hard", "check_optimal_condition"])
+def test_label_count_must_match_points(caller):
+    pts = np.random.default_rng(6).standard_normal((10, 3))
+    labels = np.array([0, 1] * 4)
+    with pytest.raises(ValueError, match="label_mismatch"):
+        if caller == "mine_hard":
+            mine_hard(pts, labels, np.arange(8))
+        else:
+            check_optimal_condition(pts, labels, 2, c_b=1.0, eps=0.0)

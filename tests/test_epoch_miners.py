@@ -92,6 +92,22 @@ def test_mine_hard_matches_scalar_oracle_with_ties(dim):
         assert rows.tolist() == [list(scalar_sample_hard(emb, labels, int(a))) for a in anchors]
 
 
+def test_mine_hard_unsorted_anchor_subsets_with_repeats():
+    rng = np.random.default_rng(12)
+    for trial in range(20):
+        size = int(rng.integers(3, 40))
+        emb = rng.integers(-2, 3, size=(size, 5)).astype(np.float64)
+        labels = rng.integers(0, 4, size=size) * 3 + 2
+        trainable = trainable_anchors(labels)
+        anchors = rng.choice(trainable, size=int(rng.integers(1, 2 * size)))
+        rows = mine_hard(emb, labels, anchors)
+        assert rows.tolist() == [list(scalar_sample_hard(emb, labels, int(a))) for a in anchors]
+
+
+def test_mine_hard_single_class_batch_without_anchors():
+    assert mine_hard(np.zeros((4, 2)), [6, 6, 6, 6], []).shape == (0, 3)
+
+
 @pytest.mark.parametrize("miner", ["uniform", "local", "hard"])
 def test_epoch_miners_reject_anchors_without_positive_or_negative(miner):
     def mine(labels, anchors):

@@ -14,7 +14,7 @@ from localtriplet.knn import (
     topk,
 )
 from localtriplet.mathops import pairwise_sq_dists
-from oracles import brute_knn, is_outlier
+from oracles import brute_knn, exhaustive_topk, is_outlier
 
 
 def _random_labeled(rng, n, dim, classes=3):
@@ -307,6 +307,36 @@ def test_topk_self_excluded_matches_rowwise_oracle_on_ties(metric, monkeypatch):
             assert list(zip(ids[i].tolist(), dists[i].tolist())) == expected
     with pytest.raises(ValueError, match="k_exceeds_n"):
         topk(pts, pts, n, exclude=np.arange(n))
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "sq_euclidean"])
+def test_topk_random_exclude_matches_exhaustive_scan(metric, monkeypatch):
+    # queries apart from the points, each leaving out a random point id;
+    # every other row leaves out its true nearest point
+    monkeypatch.setattr("localtriplet.knn.BLOCK_ELEMENTS", 1900)
+    rng = np.random.default_rng(56)
+    pts = np.round(rng.standard_normal((90, 3)), 1)
+    queries = np.round(rng.standard_normal((60, 3)), 1)
+    exclude = rng.integers(0, pts.shape[0], size=queries.shape[0])
+    nearest = exhaustive_topk(queries, pts, 1, metric=metric)[0][:, 0]
+    exclude[::2] = nearest[::2]
+    assert np.any(exclude != nearest)
+    for k in (1, 9, 89):
+        ids, dists = topk(queries, pts, k, exclude=exclude, metric=metric)
+        expected = exhaustive_topk(queries, pts, k, exclude=exclude, metric=metric)
+        assert np.array_equal(ids, expected[0]) and np.array_equal(dists, expected[1])
+
+
+@pytest.mark.parametrize("case", ["minus-one", "n", "short", "long"])
+def test_bad_exclude_rejected(case):
+    pts = np.random.default_rng(57).standard_normal((12, 2))
+    with pytest.raises(ValueError, match="bad_exclude"):
+        if case == "minus-one":
+            query_knn(build_index(pts, np.zeros(12)), pts[9], 2, exclude=-1)
+        elif case == "n":
+            query_knn(build_index(pts, np.zeros(12)), pts[9], 2, exclude=12)
+        else:
+            topk(pts[:3], pts, 2, exclude=[0, 1] if case == "short" else [0, 1, 2, 3])
 
 
 # ---------------------------------------------------------------- is_outlier
