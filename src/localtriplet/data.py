@@ -72,7 +72,9 @@ class Classes:
     """
 
     def __init__(self, labels):
-        labels = np.asarray(labels).reshape(-1)
+        labels = np.asarray(labels)
+        if labels.ndim != 1:
+            raise ValueError(f"label_mismatch: labels must be 1-D, got shape {labels.shape}")
         self.n = n = labels.size
         self.members = np.argsort(labels, kind="stable")
         grouped = labels[self.members]

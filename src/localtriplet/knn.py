@@ -348,15 +348,16 @@ def screen(q: np.ndarray, p: np.ndarray, own=None, layout: ClassLayout | None = 
 
 
 def class_screen(x: np.ndarray, labels):
-    """Yield the ScreenBlocks of x against itself in ClassLayout order, each
-    row leaving out its own column; blk.layout.ids[blk.lo:blk.hi] are the
-    block rows' point ids. labels may be given as their Classes grouping."""
+    """The ScreenBlocks of x against itself in ClassLayout order, each row
+    leaving out its own column; blk.layout.ids[blk.lo:blk.hi] are the block
+    rows' point ids. labels may be given as their Classes grouping. The
+    label count is checked at the call, before any block is drawn."""
     classes = labels if isinstance(labels, Classes) else Classes(labels)
     if classes.n != x.shape[0]:
         raise ValueError(f"label_mismatch: {x.shape[0]} points vs {classes.n} labels")
     layout = ClassLayout(classes)
     p = x[layout.ids[:-1]]
-    yield from screen(p, p, np.arange(classes.n), layout)
+    return screen(p, p, np.arange(classes.n), layout)
 
 
 def topk(queries, points, k: int, exclude=None, metric: str = "euclidean"):

@@ -115,10 +115,11 @@ def mine_hard(embeddings, labels, anchors) -> np.ndarray:
     anchors = _anchor_array(anchors)
     classes = Classes(labels)
     classes.check(anchors)
+    blocks = class_screen(emb, classes)   # checks the label count, with or without anchors
     if anchors.size == 0:
         return np.empty((0, 3), dtype=np.int64)
     hardest = np.empty((classes.n, 2), dtype=np.int64)   # (positive, negative) per row
-    for blk in class_screen(emb, classes):
+    for blk in blocks:
         at = blk.layout.ids[blk.lo:blk.hi]
         cols, sq = blk.candidates(blk.extreme_keep(np.zeros(blk.est.shape, dtype=bool)),
                                   "sq_euclidean")

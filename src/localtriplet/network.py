@@ -9,6 +9,28 @@ pooling is 2x2 stride 2 and routes gradients to the first maximum in
 row-major window order (windows holding a NaN route to their last
 position). Leaky ReLU is max(0.01x, x) with derivative 0.01 at exactly 0.
 The first layer computes no gradient with respect to the network input.
+
+The image stage, the leading conv/pool layers, runs in tiles of a few
+images, each tile through every layer of the stage before the next, so
+its activations, im2col columns, pooling masks and col2im pad stay in
+cache. A tile holds as many images as fit the stage's largest per-image
+tensor into TILE_BYTES; flatten and dense layers run on the whole batch
+(`embed`: 512-row chunks). Tiles split only work whose rows are computed
+independently, so every output keeps its bits:
+- the element-wise steps (activations, pooling and its gradient routing,
+  the col2im adds into a zeroed pad, in the same order) and the conv
+  GEMMs `cols @ w` and `g @ w.T` run per tile. A GEMM of fewer than
+  MIN_GEMM_ROWS rows takes another BLAS path with other bits, so a tile
+  has at least that many, and a last tile with fewer joins the one before;
+- the parameter gradients `cols.T @ g` and the bias sums reduce over the
+  batch, and per-tile sums would reorder their additions: the tiles fill
+  whole-batch caches (`cols`, the pre-activation, the pooling argmax) and
+  a whole-batch activation gradient, reduced once after the last tile.
+The split is exact for the `mnist_cnn` shapes (OpenBLAS, one and two
+threads). It need not be where a BLAS switches kernels at a size
+threshold: with OpenBLAS 0.3.31, a float64 conv of 4 output channels over
+27 inputs changes its last bits as its GEMM crosses the small-matrix
+threshold, for a tile as for a smaller whole batch.
 """
 from __future__ import annotations
 
@@ -22,6 +44,8 @@ from .atomic import atomic_open
 
 LEAKY_SLOPE = 0.01
 CHECKPOINT_FORMAT_VERSION = 1
+TILE_BYTES = 1 << 21   # largest per-image tensor of an image-stage tile, in bytes
+MIN_GEMM_ROWS = 4      # fewer rows take another BLAS path, with other bits
 
 
 @dataclass(frozen=True)
@@ -97,7 +121,29 @@ def _activation_backward(kind: str, g: np.ndarray, z):
     return g
 
 
-class _Conv2d:
+class _ImageLayer:
+    """A conv or pool layer of the image stage. It runs a batch as a
+    one-layer stage; the stage calls new_cache, forward_tile,
+    backward_tile and param_grads itself."""
+
+    params: list = []
+
+    def forward(self, x: np.ndarray, want_cache: bool):
+        y, (cache,) = _stage_forward([self], x, want_cache)
+        return y, cache
+
+    def backward(self, cache, g: np.ndarray, input_grad: bool = True):
+        return _stage_backward([self], [cache], g, input_grad)
+
+    def grad_buffer(self, n: int, dtype):
+        """The whole-batch array backward_tile fills for param_grads."""
+        return None
+
+    def param_grads(self, cache, g_z) -> list:
+        return []
+
+
+class _Conv2d(_ImageLayer):
     """Same-padding stride-1 convolution via im2col."""
 
     def __init__(self, spec: LayerSpec, in_shape, rng, dtype):
@@ -117,6 +163,7 @@ class _Conv2d:
         self.pad = f // 2
         self.in_shape = (h, w, cin)
         self.out_shape = (h, w, cout)
+        self.image_elements = h * w * max(f * f * cin, cout)   # im2col rows or output
         fan_in = f * f * cin
         self.w = (rng.standard_normal((fan_in, cout)) * np.sqrt(2.0 / fan_in)).astype(dtype)
         self.b = np.zeros(cout, dtype=dtype)
@@ -125,40 +172,58 @@ class _Conv2d:
     def params(self):
         return [self.w, self.b]
 
-    def _im2col(self, x: np.ndarray) -> np.ndarray:
-        # one copy of the (dy, dx, cin)-ordered windows of the padded input
-        n, (h, w, cin), f, p = x.shape[0], self.in_shape, self.f, self.pad
-        xp = np.zeros((n, h + 2 * p, w + 2 * p, cin), dtype=x.dtype)
-        xp[:, p:p + h, p:p + w, :] = x
-        win = sliding_window_view(xp, (f, f), axis=(1, 2))   # (n, h, w, cin, f, f)
-        return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, f * f * cin)
+    def new_cache(self, n: int, dtype):
+        h, w, cin = self.in_shape
+        cols = np.empty((n * h * w, self.f * self.f * cin), dtype=dtype)
+        zc = (None if self.spec.activation == "none"
+              else np.empty((n,) + self.out_shape, dtype=dtype))
+        return cols, zc, n
 
-    def forward(self, x: np.ndarray, want_cache: bool):
-        n = x.shape[0]
-        h, w, _ = self.out_shape
-        cols = self._im2col(x)
+    def grad_buffer(self, n: int, dtype):
+        h, w, cout = self.out_shape
+        return np.empty((n * h * w, cout), dtype=dtype)
+
+    def forward_tile(self, x: np.ndarray, cache, lo: int, hi: int):
+        # one copy of the (dy, dx, cin)-ordered windows of the padded input,
+        # into the cache's rows of these images when there is a cache
+        (h, w, cin), f, p, t = self.in_shape, self.f, self.pad, hi - lo
+        xp = np.zeros((t, h + 2 * p, w + 2 * p, cin), dtype=x.dtype)
+        xp[:, p:p + h, p:p + w, :] = x
+        win = sliding_window_view(xp, (f, f), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+        if cache is None:
+            cols = win.reshape(t * h * w, f * f * cin)
+        else:
+            cols = cache[0][lo * h * w:hi * h * w]
+            cols.reshape(win.shape)[...] = win
         z = cols @ self.w
         z += self.b
-        y, zc = _apply_activation(self.spec.activation, z.reshape(n, h, w, -1))
-        return y, ((cols, zc, n) if want_cache else None)
+        y, zc = _apply_activation(self.spec.activation, z.reshape(t, h, w, -1))
+        if cache is not None and zc is not None:
+            cache[1][lo:hi] = zc
+        return y
 
-    def backward(self, cache, g: np.ndarray, input_grad: bool = True):
-        cols, zc, n = cache
-        h, w, cin = self.in_shape
-        f, p = self.f, self.pad
-        g = _activation_backward(self.spec.activation, g, zc)
-        g_flat = g.reshape(n * h * w, self.spec.out_channels)
-        grads = [cols.T @ g_flat, g_flat.sum(axis=0)]
+    def backward_tile(self, cache, g: np.ndarray, g_z: np.ndarray, lo: int, hi: int,
+                      input_grad: bool):
+        # the activation gradient goes into this tile's rows of g_z, the
+        # whole batch's, which param_grads reduces
+        _, zc, _ = cache
+        (h, w, cin), f, p, t = self.in_shape, self.f, self.pad, hi - lo
+        g_flat = g_z[lo * h * w:hi * h * w]
+        g_flat.reshape(g.shape)[...] = _activation_backward(
+            self.spec.activation, g, None if zc is None else zc[lo:hi])
         if not input_grad:
-            return None, grads
-        g_cols = (g_flat @ self.w.T).reshape(n, h, w, f * f, cin)
-        g_pad = np.zeros((n, h + 2 * p, w + 2 * p, cin), dtype=g.dtype)
+            return None
+        g_cols = (g_flat @ self.w.T).reshape(t, h, w, f * f, cin)
+        g_pad = np.zeros((t, h + 2 * p, w + 2 * p, cin), dtype=g_cols.dtype)
         for i, (dy, dx) in enumerate((dy, dx) for dy in range(f) for dx in range(f)):
             g_pad[:, dy:dy + h, dx:dx + w, :] += g_cols[:, :, :, i, :]
-        return g_pad[:, p:p + h, p:p + w, :], grads
+        return g_pad[:, p:p + h, p:p + w, :]
+
+    def param_grads(self, cache, g_z: np.ndarray):
+        return [cache[0].T @ g_z, g_z.sum(axis=0)]
 
 
-class _MaxPool2:
+class _MaxPool2(_ImageLayer):
     def __init__(self, spec: LayerSpec, in_shape, rng, dtype):
         if len(in_shape) != 3:
             raise ValueError(f"shape_mismatch: maxpool2 needs (H, W, C) input, got {in_shape}")
@@ -168,44 +233,95 @@ class _MaxPool2:
         self.spec = spec
         self.in_shape = in_shape
         self.out_shape = (h // 2, w // 2, c)
+        self.image_elements = h * w * c   # input, and its gradient
         # flat offset, within one input sample, of each window's (0,0)
         # element, and of the four window positions relative to it
         self._corner = (np.arange(0, h * w * c, 2 * w * c)[:, None, None]
                         + np.arange(0, w * c, 2 * c)[:, None] + np.arange(c))
         self._step = np.array([0, c, w * c, w * c + c])
 
-    params: list = []
+    def new_cache(self, n: int, dtype):
+        return np.empty((n,) + self.out_shape, dtype=np.int8), n
 
-    def forward(self, x: np.ndarray, want_cache: bool):
+    def forward_tile(self, x: np.ndarray, cache, lo: int, hi: int):
         # the window in row-major order: (0,0), (0,1), (1,0), (1,1)
         win = (x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2])
         # operands in reverse window order: numpy's SIMD maximum returns its
         # second operand on equal values, so 0.0 tied with -0.0 pools to the
         # first of them, as argmax picks it
         y = np.maximum(np.maximum(win[3], win[2]), np.maximum(win[1], win[0]))
-        if not want_cache:
-            return y, None
+        if cache is None:
+            return y
         # index of the first maximum in window order, as argmax picks it:
         # the count of leading positions that differ from the maximum
+        arg = cache[0][lo:hi]
         before = win[0] != y
-        arg = before.astype(np.int8)
+        arg[...] = before
         for i in (1, 2):
             before &= win[i] != y
             arg += before
-        return y, (arg, x.shape[0])
+        return y
 
-    def backward(self, cache, g: np.ndarray, input_grad: bool = True):
+    def backward_tile(self, cache, g: np.ndarray, g_z, lo: int, hi: int, input_grad: bool):
         if not input_grad:
-            return None, []
-        arg, n = cache
+            return None
         h, w, c = self.in_shape
+        t = hi - lo
         # one scatter of each pooled gradient to its window's chosen element
-        pos = self._step[arg]
+        pos = self._step[cache[0][lo:hi]]
         pos += self._corner
-        pos += np.arange(0, n * h * w * c, h * w * c)[:, None, None, None]
-        g_in = np.zeros((n, h, w, c), dtype=g.dtype)
+        pos += np.arange(0, t * h * w * c, h * w * c)[:, None, None, None]
+        g_in = np.zeros((t, h, w, c), dtype=g.dtype)
         g_in.reshape(-1)[pos] = g
-        return g_in, []
+        return g_in
+
+
+def _tiles(layers, n: int, itemsize: int):
+    """[lo, hi) image ranges of an image stage's tiles.
+
+    A tile holds as many images as fit their largest per-image tensor of
+    the stage in TILE_BYTES, and at least enough that every layer's output
+    has MIN_GEMM_ROWS pixels (a conv's GEMM rows); a last tile with fewer
+    joins the one before it.
+    """
+    least = -(-MIN_GEMM_ROWS // min(h * w for h, w, _ in (lay.out_shape for lay in layers)))
+    size = max(TILE_BYTES // (itemsize * max(lay.image_elements for lay in layers)), least)
+    edges = list(range(0, n, size)) + [n]
+    if len(edges) > 2 and n - edges[-2] < least:
+        del edges[-2]
+    return zip(edges[:-1], edges[1:])
+
+
+def _stage_forward(layers, x: np.ndarray, want_cache: bool):
+    """Run conv/pool layers tile by tile, each tile through all of them
+    before the next; returns the whole batch's output and per-layer
+    caches (None without want_cache)."""
+    n = x.shape[0]
+    caches = [layer.new_cache(n, x.dtype) if want_cache else None for layer in layers]
+    out = np.empty((n,) + layers[-1].out_shape, dtype=x.dtype)
+    for lo, hi in _tiles(layers, n, x.dtype.itemsize):
+        t = x[lo:hi]
+        for layer, cache in zip(layers, caches):
+            t = layer.forward_tile(t, cache, lo, hi)
+        out[lo:hi] = t
+    return out, caches
+
+
+def _stage_backward(layers, caches, g: np.ndarray, input_grad: bool):
+    """Backward of _stage_forward: the per-element steps tile by tile, the
+    parameter gradients as whole-batch reductions after the last tile.
+    Returns (input gradient or None, parameter gradients in layer order)."""
+    n = g.shape[0]
+    g_zs = [layer.grad_buffer(n, g.dtype) for layer in layers]
+    g_in = np.empty((n,) + layers[0].in_shape, dtype=g.dtype) if input_grad else None
+    for lo, hi in _tiles(layers, n, g.dtype.itemsize):
+        t = g[lo:hi]
+        for i in reversed(range(len(layers))):
+            t = layers[i].backward_tile(caches[i], t, g_zs[i], lo, hi, input_grad or i > 0)
+        if input_grad:
+            g_in[lo:hi] = t
+    return g_in, [p for layer, cache, g_z in zip(layers, caches, g_zs)
+                  for p in layer.param_grads(cache, g_z)]
 
 
 class _Flatten:
@@ -217,7 +333,7 @@ class _Flatten:
     params: list = []
 
     def forward(self, x: np.ndarray, want_cache: bool):
-        return x.reshape(x.shape[0], -1), (x.shape if want_cache else None)
+        return x.reshape((x.shape[0],) + self.out_shape), (x.shape if want_cache else None)
 
     def backward(self, cache, g: np.ndarray, input_grad: bool = True):
         return (g.reshape(cache) if input_grad else None), []
@@ -287,6 +403,10 @@ class EmbeddingNet:
         if len(shape) != 1:
             raise ValueError(f"shape_mismatch: embedding must be flat, stack ends at {shape}")
         self.out_dim = shape[0]
+        # the image stage: the leading conv/pool layers, run tile by tile
+        self.stage = 0
+        while isinstance(self.layers[self.stage], _ImageLayer):
+            self.stage += 1
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -316,7 +436,9 @@ class EmbeddingNet:
         """Run the stack; returns (embeddings, caches-for-backward)."""
         x = self._check_input(x)
         caches = []
-        for layer in self.layers:
+        if self.stage:
+            x, caches = _stage_forward(self.layers[:self.stage], x, want_cache)
+        for layer in self.layers[self.stage:]:
             x, cache = layer.forward(x, want_cache)
             caches.append(cache)
         return x, (caches if want_cache else None)
@@ -327,17 +449,20 @@ class EmbeddingNet:
             raise ValueError("stale_cache: forward was run without want_cache")
         g = np.asarray(grad_out, dtype=self.dtype)
         grads: list[np.ndarray] = []
-        for i in reversed(range(len(self.layers))):
+        for i in reversed(range(self.stage, len(self.layers))):
             # the gradient wrt the network input is never used
             g, layer_grads = self.layers[i].backward(caches[i], g, input_grad=i > 0)
             grads = layer_grads + grads
+        if self.stage:
+            grads = _stage_backward(self.layers[:self.stage], caches[:self.stage], g, False)[1] + grads
         return grads
 
     def embed(self, x, batch: int = 512) -> np.ndarray:
         """Cache-free forward over arbitrarily many samples."""
         x = np.asarray(x, dtype=self.dtype)
+        # zero samples still make one (checked) empty batch
         outs = [self.forward(x[lo:lo + batch], want_cache=False)[0]
-                for lo in range(0, x.shape[0], batch)]
+                for lo in range(0, max(x.shape[0], 1), batch)]
         return np.concatenate(outs, axis=0)
 
 

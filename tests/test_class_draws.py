@@ -7,6 +7,7 @@ import pytest
 
 from localtriplet.data import Classes, Dataset, _largest_remainder, split, stratified_subset
 from localtriplet.training import _hardmin_batches
+from localtriplet.verify import check_optimal_condition
 from oracles import (
     loop_hardmin_batches,
     loop_largest_remainder,
@@ -101,3 +102,14 @@ def test_classes_of_no_labels_is_empty():
     assert classes.n == 0
     for arr in (classes.start, classes.count, classes.members, classes.of, classes.rank):
         assert arr.shape == (0,) and arr.dtype == np.int64
+
+
+def test_classes_reject_labels_that_are_not_1d():
+    labels = np.array([0, 1] * 5)
+    with pytest.raises(ValueError, match="label_mismatch"):
+        Classes(labels.reshape(5, 2))
+    with pytest.raises(ValueError, match="label_mismatch"):
+        Classes(np.int64(3))
+    x = np.random.default_rng(0).standard_normal((10, 2))
+    with pytest.raises(ValueError, match="label_mismatch"):
+        check_optimal_condition(x, labels.reshape(5, 2), 2, 0.0, 0.0)

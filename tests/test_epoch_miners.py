@@ -123,3 +123,9 @@ def test_epoch_miners_reject_anchors_without_positive_or_negative(miner):
     with pytest.raises(ValueError, match="no_negative"):
         mine(np.array([6, 6, 6, 6]), [3, 0])
     assert mine(np.array([0, 0, 1, 1]), []).shape == (0, 3)
+
+
+def test_mine_hard_checks_the_label_count_without_anchors():
+    for anchors in ([], [0]):
+        with pytest.raises(ValueError, match="label_mismatch"):
+            mine_hard(np.zeros((10, 2)), [0, 1] * 4, anchors)

@@ -90,6 +90,19 @@ def test_forward_determinism_same_seed():
     assert np.array_equal(e1, e2)
 
 
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_embed_of_no_samples_is_empty(arch, dtype):
+    if arch == "mlp":
+        net = EmbeddingNet((9,), mlp(6, 4), seed=1, dtype=dtype)
+    else:
+        net = EmbeddingNet((28, 28, 1), mnist_cnn(), seed=1, dtype=dtype)
+    got = net.embed(np.empty((0,) + net.input_shape))
+    assert got.shape == (0, net.out_dim) and got.dtype == np.dtype(dtype)
+    emb, _ = net.forward(np.empty((0,) + net.input_shape), want_cache=False)
+    assert emb.shape == (0, net.out_dim)
+
+
 # ------------------------------------------------------- construction checks
 
 def test_shape_chain_rejected_at_construction():
