@@ -22,6 +22,7 @@ import sys
 import time
 import urllib.error
 import urllib.request
+import zipfile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -366,10 +367,23 @@ def _load_run(run_dir):
     train_npz = run / "train.npz"
     if not ckpt.exists() or not train_npz.exists():
         raise DataError(f"missing data file: {ckpt if not ckpt.exists() else train_npz}")
-    net, _extra = load_checkpoint(ckpt)
-    train_ds = load_dataset(train_npz)
+    net, _extra = _read_run_file(load_checkpoint, ckpt)
     test_npz = run / "test.npz"
-    return net, train_ds, load_dataset(test_npz) if test_npz.exists() else None, run
+    train_ds, test_ds = (_read_run_file(load_dataset, path) if path.exists() else None
+                         for path in (train_npz, test_npz))
+    for path, ds in ((train_npz, train_ds), (test_npz, test_ds)):
+        if ds is not None and ds.samples.shape[1] != np.prod(net.input_shape):
+            raise DataError(f"unreadable run file: {path} (samples of width "
+                            f"{ds.samples.shape[1]}, the network takes {net.input_shape})")
+    return net, train_ds, test_ds, run
+
+
+def _read_run_file(load, path):
+    """load(path), with a corrupt or malformed file reported as a DataError."""
+    try:
+        return load(path)
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as err:
+        raise DataError(f"unreadable run file: {path} ({err})") from err
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:

@@ -33,7 +33,9 @@ same-class, the optimal-condition check's largest same-class and smallest
 other-class distance, batch-hard mining) use a class-sorted layout: the
 points are sorted once per call by (label, id) and screened against
 themselves, so each class is one contiguous slab of columns, the rows of
-a class are adjacent and row r's own column is r.
+a class are adjacent and row r's own column is r. A block splits its rows
+into runs of one class and reads each run's slab in place, as a view of
+its estimates.
 
 * The slab bound. S_i, the kth smallest estimate over row i's slab, is the
   statistic of its kth same-class neighbor, and since the slab is a subset
@@ -91,7 +93,6 @@ orderings are identical under both metrics.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -148,17 +149,17 @@ def build_index(points, labels, metric: str = "euclidean") -> NeighborIndex:
 class ClassLayout:
     """Points in (label, id) order, so that each class is one contiguous slab
     of columns; the screen's rows are the same points in the same order, so
-    row r's own column is r.
+    row r's own column is r and the rows of a class are adjacent.
 
-    ids[j] is the point id of column j (ids[n] = n, the id of the padding
-    column of ScreenBlock.candidates) and cls[j] its class position, whose
-    slab is columns starts[cls[j]] : starts[cls[j]] + counts[cls[j]].
+    ids[j] is the point id of column j and start[j]:stop[j] the slab of its
+    class; ids[n] = n, the id of the column n that fills the short rows of
+    ScreenBlock.candidates.
     """
 
     def __init__(self, classes: Classes):
         self.ids = np.append(classes.members, classes.n)
-        self.starts, self.counts = classes.start, classes.count
-        self.cls = classes.of[classes.members]
+        self.start = np.repeat(classes.start, classes.count)
+        self.stop = self.start + np.repeat(classes.count, classes.count)
 
 
 class ScreenBlock:
@@ -168,10 +169,10 @@ class ScreenBlock:
     lo + r to point j, within window[r] / 2 of its pinned value (see the
     module docstring). own, if given, is every query row's own column (the
     own-column rule): the block sets its estimate to -inf, and candidates
-    drops it. With a ClassLayout, rows and columns are in its order, and
-    slab[r] holds the estimates of row r's class slab, read at the flat
-    indices slab_at[r] of est, the last column repeated up to the widest
-    slab of the block.
+    drops it. With a ClassLayout, rows and columns are in its order, row r's
+    class slab is columns start[r]:stop[r], and runs holds one (rows, slab)
+    pair of slices per maximal run of adjacent rows of one class, so that
+    est[rows, slab] is the run's slab estimates as a view.
     The next block of the same screen overwrites est.
     """
 
@@ -183,18 +184,10 @@ class ScreenBlock:
         if self.own is not None:
             est[self.own] = -np.inf
         if layout is not None:
-            _, start, stop = self._slabs()
-            self.size = stop - start
-            # rows of one class read their slab as a view
-            one = start[0] == start[-1]
-            self.slab = est[:, start[0]:stop[0]] if one else est.take(self.slab_at)
-
-    @functools.cached_property
-    def slab_at(self):
-        """(rows, widest slab) flat indices of each row's slab in est."""
-        _, start, _ = self._slabs()
-        last = np.minimum(np.arange(self.size.max()), self.size[:, None] - 1)
-        return last + (start + self.est.shape[1] * np.arange(start.size))[:, None]
+            self.start, self.stop = layout.start[lo:self.hi], layout.stop[lo:self.hi]
+            edges = [0, *(np.flatnonzero(np.diff(self.start)) + 1).tolist(), est.shape[0]]
+            self.runs = [(slice(a, b), slice(int(self.start[a]), int(self.stop[a])))
+                         for a, b in zip(edges, edges[1:])]
 
     def smallest(self, k: int, rows=slice(None)):
         """Candidate mask for the k nearest other points of each row (of
@@ -206,17 +199,10 @@ class ScreenBlock:
         kth = np.partition(est, nth, axis=1)[:, nth]
         return ~(est > (kth + self.window[rows])[:, None])
 
-    def _slabs(self):
-        """(cls, start, stop): each row's class position and slab columns."""
-        cls = self.layout.cls[self.lo:self.hi]
-        start = self.layout.starts[cls]
-        return cls, start, start + self.layout.counts[cls]
-
     def peers(self, cols):
         """Which entries of cols, a (rows, w) array of columns, lie in their
         row's own class slab."""
-        _, start, stop = self._slabs()
-        return (cols >= start[:, None]) & (cols < stop[:, None])
+        return (cols >= self.start[:, None]) & (cols < self.stop[:, None])
 
     def kth_keep(self, k: int):
         """Candidate mask for each row's k nearest other points of any class
@@ -231,23 +217,21 @@ class ScreenBlock:
         for S_i, those rows take smallest(k) over the full row together
         with the slab's est <= S_i + window (every slab column without
         S_i)."""
-        est, w, big = self.est, self.window[:, None], self.size > k
-        bound = np.full(w.shape, np.inf)
-        if np.any(big):
-            slab = self.slab.copy()
-            if self.size.min() < slab.shape[1]:
-                slab[np.arange(slab.shape[1]) >= self.size[:, None]] = np.inf
-            slab.partition(k, axis=1)
-            bound[big, 0] = slab[big, k]
-        bound += w
+        est = self.est
+        bound = np.full(est.shape[0], np.inf)
+        for rows, slab in self.runs:
+            if slab.stop - slab.start > k:
+                bound[rows] = np.partition(est[rows, slab], k, axis=1)[:, k]
+        bound = (bound + self.window)[:, None]
         keep = ~(est > bound)
-        wide = ~big
-        if np.count_nonzero(keep) > 2 * k * keep.shape[0]:
-            wide[:] = True          # the fallback rule
+        # the fallback rule, and the rows of classes too small for S_i
+        wide = (np.count_nonzero(keep) > 2 * k * keep.shape[0]) | (self.stop - self.start <= k)
         if np.any(wide):
-            rows = slice(None) if np.all(wide) else np.flatnonzero(wide)
-            keep[rows] = self.smallest(k, rows)
-            keep.flat[self.slab_at[rows][~(self.slab[rows] > bound[rows])]] = True
+            at = slice(None) if np.all(wide) else np.flatnonzero(wide)
+            keep[at] = self.smallest(k, at)
+            for rows, slab in self.runs:
+                if wide[rows.start]:
+                    keep[rows, slab] |= ~(est[rows, slab] > bound[rows])
         return keep
 
     def extreme_keep(self, keep):
@@ -258,9 +242,10 @@ class ScreenBlock:
         window. A non-finite estimate, statistic or window keeps the column.
         Overwrites the slab estimates with inf, so it comes last."""
         est, w = self.est, self.window[:, None]
-        below = np.max(self.slab, axis=1, keepdims=True) - w
-        keep.flat[self.slab_at[~(self.slab < below)]] = True
-        est.flat[self.slab_at] = np.inf
+        for rows, slab in self.runs:
+            at = est[rows, slab]
+            keep[rows, slab] |= ~(at < at.max(axis=1, keepdims=True) - w[rows])
+            at[...] = np.inf
         keep |= ~(est > np.min(est, axis=1, keepdims=True) + w)
         return keep
 

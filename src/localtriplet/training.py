@@ -262,8 +262,7 @@ def evaluate_knn(net: EmbeddingNet, train: Dataset, queries: Dataset, k: int):
 
 
 def train(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
-          val: Dataset | None = None, head: SoftmaxHead | None = None,
-          log_fn=None):
+          val: Dataset | None = None, log_fn=None):
     """Run up to e_max epochs; stop early once the mean batch loss moves by
     less than convergence_eps between consecutive epochs.
 
@@ -274,12 +273,12 @@ def train(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
     """
     if np.unique(dataset.labels).size < 2 and config.method != "softmax":
         raise ValueError("no_negative: training needs at least two classes")
-    if config.method == "softmax" and head is None:
+    head = None
+    if config.method == "softmax":
         head = SoftmaxHead(net.out_dim, int(dataset.labels.max()) + 1,
                            seed=config.seed + 1)
     rng = np.random.default_rng(config.seed)
-    opt_params = net.params + (head.params if config.method == "softmax" and head else [])
-    adam = Adam(opt_params, lr=config.lr)
+    adam = Adam(net.params + (head.params if head else []), lr=config.lr)
     k = resolve_k(config, dataset.n)
 
     reports: list[EpochReport] = []

@@ -107,16 +107,21 @@ def test_cross_class_ties_rank_by_id(seed, k):
     _assert_all_match(pts[::-1].copy(), labels[::-1].copy(), k)
 
 
-@pytest.mark.parametrize("k", [1, 3, 6])
-def test_blocks_span_classes_and_classes_span_blocks(monkeypatch, k):
+# rows per block: one-row blocks are one run each, and 60 rows put every
+# class in one block; the 14-row cases keep their plain k ids
+@pytest.mark.parametrize("k, rows", [
+    pytest.param(k, rows, id=str(k) if rows == 14 else f"{k}-rows{rows}")
+    for rows in (14, 1, 60) for k in (1, 3, 6)])
+def test_blocks_span_classes_and_classes_span_blocks(monkeypatch, k, rows):
     rng = np.random.default_rng(5)
     labels = _shuffled_labels([4, 5, 3, 48], [2, 3, 5, 8], seed=5)
     pts = rng.standard_normal((labels.size, 4))
-    monkeypatch.setattr("localtriplet.knn.BLOCK_ELEMENTS", 14 * labels.size)
+    monkeypatch.setattr("localtriplet.knn.BLOCK_ELEMENTS", rows * labels.size)
     blocks = [np.unique(labels[blk.layout.ids[blk.lo:blk.hi]])
               for blk in class_screen(pts, labels)]
-    assert max(b.size for b in blocks) >= 3
-    assert sum(8 in b for b in blocks) >= 3
+    assert len(blocks) == -(-labels.size // rows)
+    assert max(b.size for b in blocks) >= min(rows, 3)
+    assert sum(8 in b for b in blocks) >= min(len(blocks), 3)
     _assert_all_match(pts, labels, k)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -356,3 +357,58 @@ def test_eval_verify_report_config_file_source(tmp_path, capsys):
                  "--config", _write(tmp_path / "eval.cfg", "k = 3\n")]) == 0
     report = json.loads((out / "eval_report.json").read_text())
     assert (report["k"], report["sources"]) == (3, {"k": "config"})
+
+
+def _rewrite_npz(path, **arrays):
+    """Save path again with arrays replaced; an array given as None is dropped."""
+    with np.load(path) as z:
+        kept = {name: z[name] for name in z.files}
+    kept.update(arrays)
+    with open(path, "wb") as f:
+        np.savez(f, **{name: a for name, a in kept.items() if a is not None})
+
+
+def _with_meta(path, **fields):
+    with np.load(path) as z:
+        meta = json.loads(bytes(z["meta"]).decode())
+    return np.frombuffer(json.dumps({**meta, **fields}).encode(), dtype=np.uint8)
+
+
+def _wider(path):
+    with np.load(path) as z:
+        samples = z["samples"]
+    return np.column_stack([samples, samples[:, :1]])
+
+
+CORRUPT_RUN = {
+    "checkpoint-garbage": ("checkpoint.npz", lambda p: p.write_bytes(b"not a zip " * 50)),
+    "train-garbage": ("train.npz", lambda p: p.write_bytes(b"not a zip " * 50)),
+    "test-garbage": ("test.npz", lambda p: p.write_bytes(b"not a zip " * 50)),
+    "checkpoint-cut": ("checkpoint.npz", lambda p: p.write_bytes(p.read_bytes()[:300])),
+    "checkpoint-empty": ("checkpoint.npz", lambda p: p.write_bytes(b"")),
+    "train-no-labels": ("train.npz", lambda p: _rewrite_npz(p, labels=None)),
+    "checkpoint-version": ("checkpoint.npz",
+                           lambda p: _rewrite_npz(p, meta=_with_meta(p, format_version=99))),
+    # the sample_shape no longer matches the samples
+    "test-width": ("test.npz", lambda p: _rewrite_npz(p, samples=_wider(p))),
+    # a consistent file whose samples the network cannot take
+    "test-width-meta": ("test.npz", lambda p: _rewrite_npz(
+        p, samples=_wider(p), meta=_with_meta(p, sample_shape=[7]))),
+}
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    return _train_run(tmp_path_factory.mktemp("finished"))
+
+
+@pytest.mark.parametrize("case", list(CORRUPT_RUN))
+@pytest.mark.parametrize("command", ["eval", "verify", "export-scatter"])
+def test_corrupt_run_file_exit_3(tmp_path, capsys, finished_run, command, case):
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    name, corrupt = CORRUPT_RUN[case]
+    corrupt(run / name)
+    capsys.readouterr()
+    assert main([command, "--run-dir", str(run)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: unreadable run file: ") and name in err
