@@ -24,13 +24,19 @@ independently, so every output keeps its bits:
   has at least that many, and a last tile with fewer joins the one before;
 - the parameter gradients `cols.T @ g` and the bias sums reduce over the
   batch, and per-tile sums would reorder their additions: the tiles fill
-  whole-batch caches (`cols`, the pre-activation, the pooling argmax) and
+  whole-batch caches (`cols`, the activation mask, the pooling argmax) and
   a whole-batch activation gradient, reduced once after the last tile.
 The split is exact for the `mnist_cnn` shapes (OpenBLAS, one and two
 threads). It need not be where a BLAS switches kernels at a size
 threshold: with OpenBLAS 0.3.31, a float64 conv of 4 output channels over
 27 inputs changes its last bits as its GEMM crosses the small-matrix
 threshold, for a tile as for a smaller whole batch.
+
+The leaky ReLU backward reads only the sign of a conv's pre-activation z,
+so a cached forward keeps the bool mask z > 0, not z; a forward without
+caches (`embed`) computes no mask. A cached `mnist_cnn` forward holds
+581,184 bytes per float64 image (it held 844,608 with z cached), 451,584
+of them conv2's im2col columns; in float32, 314,112 (427,008 before).
 """
 from __future__ import annotations
 
@@ -46,6 +52,7 @@ LEAKY_SLOPE = 0.01
 CHECKPOINT_FORMAT_VERSION = 1
 TILE_BYTES = 1 << 21   # largest per-image tensor of an image-stage tile, in bytes
 MIN_GEMM_ROWS = 4      # fewer rows take another BLAS path, with other bits
+STEP_ELEMENTS = 1 << 14   # Adam updates larger parameters in row blocks of about this size
 
 
 @dataclass(frozen=True)
@@ -110,11 +117,14 @@ def _apply_activation(kind: str, z: np.ndarray):
 
 
 def _activation_backward(kind: str, g: np.ndarray, z):
+    """The gradient through the activation; z is the pre-activation or its
+    mask z > 0."""
     if kind == "leaky_relu":
         # the derivative (z > 0) * (1 - slope) + slope is exactly 1 or the
         # slope, built without a data-dependent branch per element
-        one, slope = z.dtype.type(1.0), z.dtype.type(LEAKY_SLOPE)
-        grad = np.multiply(z > 0.0, one - slope, dtype=z.dtype)
+        one, slope = g.dtype.type(1.0), g.dtype.type(LEAKY_SLOPE)
+        mask = z if z.dtype == np.bool_ else z > 0.0
+        grad = np.multiply(mask, one - slope, dtype=g.dtype)
         grad += slope
         grad *= g
         return grad
@@ -175,9 +185,9 @@ class _Conv2d(_ImageLayer):
     def new_cache(self, n: int, dtype):
         h, w, cin = self.in_shape
         cols = np.empty((n * h * w, self.f * self.f * cin), dtype=dtype)
-        zc = (None if self.spec.activation == "none"
-              else np.empty((n,) + self.out_shape, dtype=dtype))
-        return cols, zc, n
+        mask = (None if self.spec.activation == "none"
+                else np.empty((n,) + self.out_shape, dtype=np.bool_))
+        return cols, mask, n
 
     def grad_buffer(self, n: int, dtype):
         h, w, cout = self.out_shape
@@ -197,20 +207,20 @@ class _Conv2d(_ImageLayer):
             cols.reshape(win.shape)[...] = win
         z = cols @ self.w
         z += self.b
-        y, zc = _apply_activation(self.spec.activation, z.reshape(t, h, w, -1))
-        if cache is not None and zc is not None:
-            cache[1][lo:hi] = zc
-        return y
+        z = z.reshape(t, h, w, -1)
+        if cache is not None and cache[1] is not None:
+            np.greater(z, 0.0, out=cache[1][lo:hi])
+        return _apply_activation(self.spec.activation, z)[0]
 
     def backward_tile(self, cache, g: np.ndarray, g_z: np.ndarray, lo: int, hi: int,
                       input_grad: bool):
         # the activation gradient goes into this tile's rows of g_z, the
         # whole batch's, which param_grads reduces
-        _, zc, _ = cache
+        _, mask, _ = cache
         (h, w, cin), f, p, t = self.in_shape, self.f, self.pad, hi - lo
         g_flat = g_z[lo * h * w:hi * h * w]
         g_flat.reshape(g.shape)[...] = _activation_backward(
-            self.spec.activation, g, None if zc is None else zc[lo:hi])
+            self.spec.activation, g, None if mask is None else mask[lo:hi])
         if not input_grad:
             return None
         g_cols = (g_flat @ self.w.T).reshape(t, h, w, f * f, cin)
@@ -460,10 +470,13 @@ class EmbeddingNet:
     def embed(self, x, batch: int = 512) -> np.ndarray:
         """Cache-free forward over arbitrarily many samples."""
         x = np.asarray(x, dtype=self.dtype)
-        # zero samples still make one (checked) empty batch
-        outs = [self.forward(x[lo:lo + batch], want_cache=False)[0]
-                for lo in range(0, max(x.shape[0], 1), batch)]
-        return np.concatenate(outs, axis=0)
+        if not x.shape[0]:
+            # zero samples still make one (checked) empty batch
+            return self.forward(x, want_cache=False)[0]
+        out = np.empty((x.shape[0], self.out_dim), dtype=self.dtype)
+        for lo in range(0, x.shape[0], batch):
+            out[lo:lo + batch] = self.forward(x[lo:lo + batch], want_cache=False)[0]
+        return out
 
 
 class SoftmaxHead:
@@ -524,11 +537,33 @@ class Adam:
         for p, g, m, v in zip(params, grads, self.m, self.v):
             if p.shape != g.shape:
                 raise ValueError(f"shape_mismatch: grad {g.shape} for param {p.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            if p.size <= STEP_ELEMENTS:
+                self._update(p, g, m, v, c1, c2)
+                continue
+            # blocks of leading-axis rows: the two temporaries stay small and
+            # in cache, and take no page faults on the large weights
+            rows = max(1, STEP_ELEMENTS * len(p) // p.size)
+            for lo in range(0, len(p), rows):
+                s = slice(lo, lo + rows)
+                self._update(p[s], g[s], m[s], v[s], c1, c2)
+
+    def _update(self, p, g, m, v, c1, c2):
+        # m += (1 - b1) * g; v += (1 - b2) * g * g;
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in that operation order
+        m *= self.beta1
+        t = np.multiply(g, 1.0 - self.beta1, out=np.empty_like(g))   # an array also at 0-d
+        m += t
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=t)
+        t *= g
+        v += t
+        np.divide(v, c2, out=t)
+        np.sqrt(t, out=t)
+        t += self.eps
+        u = np.divide(m, c1, out=np.empty_like(m))
+        u *= self.lr
+        u /= t
+        p -= u
 
 
 def save_checkpoint(path, net: EmbeddingNet, extra: dict | None = None) -> None:

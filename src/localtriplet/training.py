@@ -153,7 +153,12 @@ def _hardmin_batches(labels, batch_size, rng):
 def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
               epoch: int, rng: np.random.Generator, adam: Adam,
               head: SoftmaxHead | None = None) -> EpochReport:
-    """One pass over the training set with the configured method."""
+    """One pass over the training set with the configured method.
+
+    Each batch loop deletes its batch's embeddings and caches before the
+    next batch's forward allocates its own, so one batch of caches is alive
+    at a time.
+    """
     clock = time.perf_counter
     t0 = clock()
     phases = dict.fromkeys(PHASES, 0.0)
@@ -185,6 +190,7 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
             if not np.isfinite(value):
                 raise DivergedError(f"diverged: non-finite batch loss {value}")
             grads = net.backward(caches, grad_emb)
+            del emb, caches
             adam.step(net.params + head.params, grads + head_grads)
             batch_losses.append(value)
     elif method == "mm_hardmin":
@@ -195,13 +201,13 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
             # a tail batch may hold anchors without an in-batch positive or negative
             rows = mine_hard(emb, labels[batch], trainable_anchors(labels[batch]))
             phases["mine"] += clock() - t1
-            if not rows.size:
-                continue
-            value, active = _triplet_step(net, emb, caches, rows, None, config.weights,
-                                          "fixed", adam)
-            batch_losses.append(value)
-            n_triplets += len(rows)
-            n_active += active
+            if rows.size:
+                value, active = _triplet_step(net, emb, caches, rows, None, config.weights,
+                                              "fixed", adam)
+                batch_losses.append(value)
+                n_triplets += len(rows)
+                n_active += active
+            del emb, caches
     else:
         # lm / lm_mining / mm: one triplet per anchor that has a positive and a negative
         t1 = clock()
@@ -219,6 +225,7 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
             d_pos = snapshot.d_ak_pos[chunk[:, 0]] if snapshot is not None else None
             value, active = _triplet_step(net, emb, caches, rows.reshape(chunk.shape), d_pos,
                                           config.weights, margin, adam)
+            del emb, caches
             batch_losses.append(value)
             n_triplets += len(chunk)
             n_active += active

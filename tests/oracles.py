@@ -233,6 +233,19 @@ def maxpool2_backward_reference(arg, g):
     return g_in.reshape(n, h2 * 2, w2 * 2, c)
 
 
+def adam_step_reference(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam's t-th step on params, m and v in place, as whole-array
+    expressions (network.Adam.step must match it bit for bit)."""
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for p, g, mp, vp in zip(params, grads, m, v):
+        mp *= beta1
+        mp += (1.0 - beta1) * g
+        vp *= beta2
+        vp += (1.0 - beta2) * g * g
+        p -= lr * (mp / c1) / (np.sqrt(vp / c2) + eps)
+
+
 # Exhaustive neighbor reference: the blocked full scan that the screened
 # kernel in localtriplet.knn replaced. Every pair's distance is computed
 # with the pinned arithmetic and every statistic is taken over full rows,

@@ -15,7 +15,7 @@ from localtriplet.network import (
     save_checkpoint,
     softmax_head_loss,
 )
-from oracles import fd_gradient_at, rel_err
+from oracles import adam_step_reference, fd_gradient_at, rel_err
 
 
 def _sum_loss_net(net, x):
@@ -279,6 +279,29 @@ def test_adam_quadratic_bowl_losses_decrease():
         opt.step(params, [2.0 * diff])
     for i in range(5, 99):
         assert losses[i + 1] < losses[i]
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_adam_steps_match_reference_bytes(dtype):
+    # gradients spanning 1e-8 to 1e7 in magnitude, both signs, some zeros;
+    # (300, 128) and (40000,) span several update blocks and end in a short one
+    rng = np.random.default_rng(14)
+    shapes = [(5, 7), (7,), (3, 3, 2), (300, 128), (40000,), ()]
+    params = [rng.standard_normal(s).astype(dtype) for s in shapes]
+    want = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    opt = Adam(params, lr=1e-3)
+    for t in range(1, 21):
+        grads = []
+        for s in shapes:
+            g = np.asarray(rng.standard_normal(s) * 10.0 ** rng.uniform(-8, 7, s))
+            g.reshape(-1)[::5] = 0.0
+            grads.append(g.astype(dtype))
+        opt.step(params, grads)
+        adam_step_reference(want, grads, m, v, t, lr=1e-3)
+        for got, ref in zip(params + opt.m + opt.v, want + m + v, strict=True):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_adam_shape_mismatch():

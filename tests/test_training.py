@@ -1,10 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 
 import localtriplet.training as training_mod
 from localtriplet.data import make_blobs, split
 from localtriplet.losses import LossWeights
-from localtriplet.network import EmbeddingNet, mlp
+from localtriplet.network import EmbeddingNet, mlp, mnist_cnn
 from localtriplet.training import (
     PHASES,
     DivergedError,
@@ -202,3 +204,40 @@ def test_epoch_report_json_line_excludes_wall_time():
                             hinge_active_fraction=0.25)
     assert "mean_d_ak" not in line          # None fields dropped
     assert '"epoch": 3' in line
+
+
+def _arrays(cache):
+    """Every array a forward's caches hold, in nested tuples and lists."""
+    if isinstance(cache, np.ndarray):
+        return [cache]
+    if isinstance(cache, (tuple, list)):
+        return [a for c in cache for a in _arrays(c)]
+    return []
+
+
+@pytest.mark.parametrize("method", ["softmax", "mm_hardmin", "lm_mining"])
+def test_one_batch_of_caches_alive_at_a_time(method):
+    # a batch's caches (conv im2col columns and activation masks, pooling
+    # argmax, dense inputs) must be freed before the next batch's forward
+    # allocates its own; refcounting frees them, no gc pass is run
+    ds = make_blobs(3, 12, 144, spacing=0.5, std=0.3, seed=17)
+    net = EmbeddingNet((12, 12, 1), mnist_cnn(), seed=18)
+    forward = net.forward
+    held = []        # weak references to the previous cached forward's arrays
+    alive = []       # per cached forward: how many of the previous one's arrays live
+
+    def tracked(x, want_cache=True):
+        if want_cache:
+            alive.append(sum(ref() is not None for ref in held))
+            held.clear()
+        emb, caches = forward(x, want_cache)
+        if want_cache:
+            held.extend(weakref.ref(a) for a in [emb] + _arrays(caches))
+        return emb, caches
+
+    net.forward = tracked
+    cfg = TrainConfig(method=method, e_max=2, convergence_eps=0.0, seed=19, lr=1e-3,
+                      batch_size=12)
+    train(net, cfg, ds)
+    assert len(alive) > 4
+    assert alive == [0] * len(alive)
