@@ -46,6 +46,7 @@ from .training import (
     METHODS,
     DivergedError,
     TrainConfig,
+    embed_finite,
     evaluate_knn,
     train,
 )
@@ -422,7 +423,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     net, train_ds, queries, run = _load_run(opts["run_dir"])
     k = _check_k(opts["k"], train_ds.n)
     settings = {"k": k, "c_b": opts["c_b"], "eps": opts["eps"]}
-    train_emb = net.embed(train_ds.samples)
+    train_emb = embed_finite(net, train_ds)
     condition = check_optimal_condition(train_emb, train_ds.labels, k,
                                         settings["c_b"], settings["eps"])
     write_violations_csv(run / "violations.csv", condition)
@@ -435,7 +436,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         "worst_residual": condition.worst_residual,
     }
     if queries is not None and queries.n:
-        query_emb = net.embed(queries.samples)
+        query_emb = embed_finite(net, queries)
         purity = purity_check(train_emb, train_ds.labels, query_emb, k, d_ak=condition.d_ak)
         write_scatter_csv(run / "purity.csv", _scatter_xy(query_emb), queries.labels,
                           status=purity.query_status)
@@ -479,7 +480,7 @@ def cmd_export_scatter(ns: argparse.Namespace) -> int:
     ds = train_ds if opts["which"] == "train" else queries
     if ds is None or not ds.n:
         raise DataError(f"missing data file: {run / 'test.npz'}")
-    write_scatter_csv(run / "scatter.csv", _scatter_xy(net.embed(ds.samples)), ds.labels)
+    write_scatter_csv(run / "scatter.csv", _scatter_xy(embed_finite(net, ds)), ds.labels)
     print(f"wrote {run / 'scatter.csv'} ({ds.n} points)")
     return 0
 

@@ -32,11 +32,11 @@ threshold: with OpenBLAS 0.3.31, a float64 conv of 4 output channels over
 27 inputs changes its last bits as its GEMM crosses the small-matrix
 threshold, for a tile as for a smaller whole batch.
 
-The leaky ReLU backward reads only the sign of a conv's pre-activation z,
-so a cached forward keeps the bool mask z > 0, not z; a forward without
-caches (`embed`) computes no mask. A cached `mnist_cnn` forward holds
-581,184 bytes per float64 image (it held 844,608 with z cached), 451,584
-of them conv2's im2col columns; in float32, 314,112 (427,008 before).
+A layer caches only what its backward reads: a conv its im2col columns
+and the leaky ReLU mask z > 0 (the backward reads only z's sign), a pool
+its argmax, a dense layer its input and mask, a flatten nothing; `embed`
+caches nothing. A cached `mnist_cnn` forward holds 580,288 bytes per
+float64 image, 451,584 of them conv2's im2col columns; 313,728 in float32.
 """
 from __future__ import annotations
 
@@ -53,6 +53,7 @@ CHECKPOINT_FORMAT_VERSION = 1
 TILE_BYTES = 1 << 21   # largest per-image tensor of an image-stage tile, in bytes
 MIN_GEMM_ROWS = 4      # fewer rows take another BLAS path, with other bits
 STEP_ELEMENTS = 1 << 14   # Adam updates larger parameters in row blocks of about this size
+EMBED_ROWS = 512       # embed runs the stack on chunks of this many samples
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,10 @@ class LayerSpec:
     out_dim: int | None = None        # dense
     in_dim: int | None = None         # dense, optional check
     activation: str = "none"          # "leaky_relu" | "none"
+
+    def __post_init__(self):
+        if self.activation not in ("leaky_relu", "none"):
+            raise ValueError(f"bad_activation: {self.activation}")
 
 
 def conv2d(out_channels: int, filter_size: int = 3, activation: str = "leaky_relu",
@@ -102,33 +107,30 @@ def mlp(*dims: int) -> list[LayerSpec]:
     return [dense(d) for d in dims]
 
 
-def leaky_relu(x: np.ndarray) -> np.ndarray:
-    # max(0.01x, x), written into the 0.01x temporary
-    y = x * LEAKY_SLOPE
-    return np.maximum(y, x, out=y)
-
-
-def _apply_activation(kind: str, z: np.ndarray):
-    if kind == "leaky_relu":
-        return leaky_relu(z), z
+def _activation_forward(kind: str, z: np.ndarray, mask) -> np.ndarray:
+    """The activation of z; a leaky ReLU writes z > 0 into mask unless it
+    is None."""
     if kind == "none":
-        return z, None
-    raise ValueError(f"bad_activation: {kind}")
+        return z
+    if mask is not None:
+        np.greater(z, 0.0, out=mask)
+    # max(0.01z, z), written into the 0.01z temporary
+    y = z * LEAKY_SLOPE
+    return np.maximum(y, z, out=y)
 
 
-def _activation_backward(kind: str, g: np.ndarray, z):
-    """The gradient through the activation; z is the pre-activation or its
-    mask z > 0."""
-    if kind == "leaky_relu":
-        # the derivative (z > 0) * (1 - slope) + slope is exactly 1 or the
-        # slope, built without a data-dependent branch per element
-        one, slope = g.dtype.type(1.0), g.dtype.type(LEAKY_SLOPE)
-        mask = z if z.dtype == np.bool_ else z > 0.0
-        grad = np.multiply(mask, one - slope, dtype=g.dtype)
-        grad += slope
-        grad *= g
-        return grad
-    return g
+def _activation_backward(g: np.ndarray, mask) -> np.ndarray:
+    """The gradient through the activation from its mask z > 0; None is no
+    activation."""
+    if mask is None:
+        return g
+    # the derivative (z > 0) * (1 - slope) + slope is exactly 1 or the
+    # slope, built without a data-dependent branch per element
+    one, slope = g.dtype.type(1.0), g.dtype.type(LEAKY_SLOPE)
+    grad = np.multiply(mask, one - slope, dtype=g.dtype)
+    grad += slope
+    grad *= g
+    return grad
 
 
 class _ImageLayer:
@@ -187,7 +189,7 @@ class _Conv2d(_ImageLayer):
         cols = np.empty((n * h * w, self.f * self.f * cin), dtype=dtype)
         mask = (None if self.spec.activation == "none"
                 else np.empty((n,) + self.out_shape, dtype=np.bool_))
-        return cols, mask, n
+        return cols, mask
 
     def grad_buffer(self, n: int, dtype):
         h, w, cout = self.out_shape
@@ -200,27 +202,23 @@ class _Conv2d(_ImageLayer):
         xp = np.zeros((t, h + 2 * p, w + 2 * p, cin), dtype=x.dtype)
         xp[:, p:p + h, p:p + w, :] = x
         win = sliding_window_view(xp, (f, f), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
-        if cache is None:
-            cols = win.reshape(t * h * w, f * f * cin)
-        else:
-            cols = cache[0][lo * h * w:hi * h * w]
-            cols.reshape(win.shape)[...] = win
+        cols = (np.empty((t * h * w, f * f * cin), dtype=x.dtype) if cache is None
+                else cache[0][lo * h * w:hi * h * w])
+        cols.reshape(win.shape)[...] = win
         z = cols @ self.w
         z += self.b
         z = z.reshape(t, h, w, -1)
-        if cache is not None and cache[1] is not None:
-            np.greater(z, 0.0, out=cache[1][lo:hi])
-        return _apply_activation(self.spec.activation, z)[0]
+        mask = None if cache is None or cache[1] is None else cache[1][lo:hi]
+        return _activation_forward(self.spec.activation, z, mask)
 
     def backward_tile(self, cache, g: np.ndarray, g_z: np.ndarray, lo: int, hi: int,
                       input_grad: bool):
         # the activation gradient goes into this tile's rows of g_z, the
         # whole batch's, which param_grads reduces
-        _, mask, _ = cache
+        mask = None if cache[1] is None else cache[1][lo:hi]
         (h, w, cin), f, p, t = self.in_shape, self.f, self.pad, hi - lo
         g_flat = g_z[lo * h * w:hi * h * w]
-        g_flat.reshape(g.shape)[...] = _activation_backward(
-            self.spec.activation, g, None if mask is None else mask[lo:hi])
+        g_flat.reshape(g.shape)[...] = _activation_backward(g, mask)
         if not input_grad:
             return None
         g_cols = (g_flat @ self.w.T).reshape(t, h, w, f * f, cin)
@@ -251,7 +249,7 @@ class _MaxPool2(_ImageLayer):
         self._step = np.array([0, c, w * c, w * c + c])
 
     def new_cache(self, n: int, dtype):
-        return np.empty((n,) + self.out_shape, dtype=np.int8), n
+        return np.empty((n,) + self.out_shape, dtype=np.int8)
 
     def forward_tile(self, x: np.ndarray, cache, lo: int, hi: int):
         # the window in row-major order: (0,0), (0,1), (1,0), (1,1)
@@ -264,7 +262,7 @@ class _MaxPool2(_ImageLayer):
             return y
         # index of the first maximum in window order, as argmax picks it:
         # the count of leading positions that differ from the maximum
-        arg = cache[0][lo:hi]
+        arg = cache[lo:hi]
         before = win[0] != y
         arg[...] = before
         for i in (1, 2):
@@ -278,7 +276,7 @@ class _MaxPool2(_ImageLayer):
         h, w, c = self.in_shape
         t = hi - lo
         # one scatter of each pooled gradient to its window's chosen element
-        pos = self._step[cache[0][lo:hi]]
+        pos = self._step[cache[lo:hi]]
         pos += self._corner
         pos += np.arange(0, t * h * w * c, h * w * c)[:, None, None, None]
         g_in = np.zeros((t, h, w, c), dtype=g.dtype)
@@ -343,10 +341,10 @@ class _Flatten:
     params: list = []
 
     def forward(self, x: np.ndarray, want_cache: bool):
-        return x.reshape((x.shape[0],) + self.out_shape), (x.shape if want_cache else None)
+        return x.reshape((x.shape[0],) + self.out_shape), None
 
     def backward(self, cache, g: np.ndarray, input_grad: bool = True):
-        return (g.reshape(cache) if input_grad else None), []
+        return (g.reshape((g.shape[0],) + self.in_shape) if input_grad else None), []
 
 
 class _Dense:
@@ -371,12 +369,12 @@ class _Dense:
     def forward(self, x: np.ndarray, want_cache: bool):
         z = x @ self.w
         z += self.b
-        y, zc = _apply_activation(self.spec.activation, z)
-        return y, ((x, zc) if want_cache else None)
+        mask = np.empty(z.shape, np.bool_) if want_cache and self.spec.activation != "none" else None
+        return _activation_forward(self.spec.activation, z, mask), ((x, mask) if want_cache else None)
 
     def backward(self, cache, g: np.ndarray, input_grad: bool = True):
-        x, zc = cache
-        g = _activation_backward(self.spec.activation, g, zc)
+        x, mask = cache
+        g = _activation_backward(g, mask)
         return (g @ self.w.T if input_grad else None), [x.T @ g, g.sum(axis=0)]
 
 
@@ -467,30 +465,23 @@ class EmbeddingNet:
             grads = _stage_backward(self.layers[:self.stage], caches[:self.stage], g, False)[1] + grads
         return grads
 
-    def embed(self, x, batch: int = 512) -> np.ndarray:
-        """Cache-free forward over arbitrarily many samples."""
-        x = np.asarray(x, dtype=self.dtype)
-        if not x.shape[0]:
-            # zero samples still make one (checked) empty batch
-            return self.forward(x, want_cache=False)[0]
+    def embed(self, x) -> np.ndarray:
+        """Cache-free forward over arbitrarily many samples, EMBED_ROWS at a time."""
+        x = self._check_input(x)
         out = np.empty((x.shape[0], self.out_dim), dtype=self.dtype)
-        for lo in range(0, x.shape[0], batch):
-            out[lo:lo + batch] = self.forward(x[lo:lo + batch], want_cache=False)[0]
+        for lo in range(0, x.shape[0], EMBED_ROWS):
+            out[lo:lo + EMBED_ROWS] = self.forward(x[lo:lo + EMBED_ROWS], want_cache=False)[0]
         return out
 
 
-class SoftmaxHead:
-    """Linear class head on top of the embedding, for the end-to-end baseline."""
+class SoftmaxHead(_Dense):
+    """Linear float64 class head on top of the embedding, for the
+    end-to-end baseline: a dense layer without activation."""
 
     def __init__(self, in_dim: int, n_classes: int, seed: int = 0):
-        rng = np.random.default_rng(seed)
+        super().__init__(dense(n_classes, activation="none"), (in_dim,),
+                         np.random.default_rng(seed), np.float64)
         self.n_classes = int(n_classes)
-        self.w = rng.standard_normal((in_dim, n_classes)) * np.sqrt(2.0 / in_dim)
-        self.b = np.zeros(n_classes)
-
-    @property
-    def params(self):
-        return [self.w, self.b]
 
 
 def softmax_head_loss(embeddings, labels, head: SoftmaxHead):
@@ -504,15 +495,14 @@ def softmax_head_loss(embeddings, labels, head: SoftmaxHead):
     if np.any(y < 0) or np.any(y >= head.n_classes):
         raise ValueError(f"label_out_of_range: labels must be in 0..{head.n_classes - 1}")
     n = x.shape[0]
-    z = x @ head.w + head.b
-    z = z - np.max(z, axis=1, keepdims=True)
-    ez = np.exp(z)
+    z, cache = head.forward(x, want_cache=True)
+    ez = np.exp(z - np.max(z, axis=1, keepdims=True))
     p = ez / np.sum(ez, axis=1, keepdims=True)
     loss = float(-np.mean(np.log(p[np.arange(n), y])))
     dz = p.copy()
     dz[np.arange(n), y] -= 1.0
     dz /= n
-    return loss, dz @ head.w.T, [x.T @ dz, dz.sum(axis=0)]
+    return (loss, *head.backward(cache, dz))
 
 
 class Adam:

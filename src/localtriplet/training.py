@@ -150,6 +150,16 @@ def _hardmin_batches(labels, batch_size, rng):
         yield np.sort(np.concatenate([pool[lo:lo + per] for pool in pools]))
 
 
+def embed_finite(net: EmbeddingNet, dataset: Dataset, where: str = "") -> np.ndarray:
+    """net.embed of the dataset's samples; a non-finite embedding raises
+    DivergedError, which says where (by default, of which split)."""
+    emb = net.embed(dataset.samples)
+    if not np.all(np.isfinite(emb)):
+        where = where or f"of the {dataset.split} split"
+        raise DivergedError(f"diverged: non-finite embedding {where}")
+    return emb
+
+
 def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
               epoch: int, rng: np.random.Generator, adam: Adam,
               head: SoftmaxHead | None = None) -> EpochReport:
@@ -169,9 +179,7 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
 
     snapshot = None
     if method in _SNAPSHOT_METHODS:
-        embedded = net.embed(samples)
-        if not np.all(np.isfinite(embedded)):
-            raise DivergedError(f"diverged: non-finite embedding at the start of epoch {epoch}")
+        embedded = embed_finite(net, dataset, f"at the start of epoch {epoch}")
         t1 = clock()
         snapshot = take_snapshot(build_index(embedded, labels, metric="euclidean"), k, epoch)
         phases["embed"], phases["snapshot"] = t1 - t0, clock() - t1
@@ -255,7 +263,7 @@ def evaluate_knn(net: EmbeddingNet, train: Dataset, queries: Dataset, k: int):
     Each query takes the majority class of its k nearest training points;
     a tie goes to the class of the nearest neighbor among the tied classes.
     """
-    ids, _ = topk(net.embed(queries.samples), net.embed(train.samples), k)
+    ids, _ = topk(embed_finite(net, queries), embed_finite(net, train), k)
     classes = np.unique(np.concatenate([train.labels, queries.labels]))
     votes = np.searchsorted(classes, train.labels)[ids]      # (m, k) class positions
     counts = np.sum(votes[:, :, None] == np.arange(classes.size), axis=1)
@@ -296,15 +304,15 @@ def train(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
     for epoch in range(config.e_max):
         try:
             report = run_epoch(net, config, dataset, epoch, rng, adam, head=head)
+            if val is not None and val.n:
+                acc, _, _ = evaluate_knn(net, dataset, val, k)
+                report = replace(report, val_accuracy=acc)
+                if best_val is None or acc > best_val:
+                    best_val = acc
+                    best_params = [p.copy() for p in net.params]
         except DivergedError as err:
             err.reports = reports
             raise
-        if val is not None and val.n:
-            acc, _, _ = evaluate_knn(net, dataset, val, k)
-            report = replace(report, val_accuracy=acc)
-            if best_val is None or acc > best_val:
-                best_val = acc
-                best_params = [p.copy() for p in net.params]
         reports.append(report)
         if log_fn is not None:
             log_fn(report)

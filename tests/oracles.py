@@ -233,6 +233,28 @@ def maxpool2_backward_reference(arg, g):
     return g_in.reshape(n, h2 * 2, w2 * 2, c)
 
 
+def softmax_head_reference(embeddings, labels, n_classes, seed):
+    """The softmax head as separate arrays: its He init from
+    default_rng(seed), then (w, b, loss, grad wrt embeddings,
+    [grad_w, grad_b]) of the mean max-shifted cross-entropy, in the
+    expressions network.SoftmaxHead and softmax_head_loss must match."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    n, in_dim = x.shape
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((in_dim, n_classes)) * np.sqrt(2.0 / in_dim)
+    b = np.zeros(n_classes)
+    z = x @ w + b
+    z = z - np.max(z, axis=1, keepdims=True)
+    ez = np.exp(z)
+    p = ez / np.sum(ez, axis=1, keepdims=True)
+    loss = float(-np.mean(np.log(p[np.arange(n), y])))
+    dz = p.copy()
+    dz[np.arange(n), y] -= 1.0
+    dz /= n
+    return w, b, loss, dz @ w.T, [x.T @ dz, dz.sum(axis=0)]
+
+
 def adam_step_reference(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Adam's t-th step on params, m and v in place, as whole-array
     expressions (network.Adam.step must match it bit for bit)."""

@@ -412,3 +412,35 @@ def test_corrupt_run_file_exit_3(tmp_path, capsys, finished_run, command, case):
     assert main([command, "--run-dir", str(run)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: unreadable run file: ") and name in err
+
+
+def _nan_weight(path):
+    with np.load(path) as z:
+        w = z["param_000"].copy()
+    w[0, 0] = np.nan
+    _rewrite_npz(path, param_000=w)
+
+
+@pytest.mark.parametrize("command, split", [
+    ("eval", "test"), ("verify", "train"), ("export-scatter", "test")])
+def test_non_finite_checkpoint_embedding_exit_4(tmp_path, capsys, finished_run, command, split):
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    _nan_weight(run / "checkpoint.npz")
+    capsys.readouterr()
+    assert main([command, "--run-dir", str(run)]) == 4
+    assert capsys.readouterr().err == (
+        f"numeric failure: diverged: non-finite embedding of the {split} split\n")
+
+
+@pytest.mark.parametrize("command", ["eval", "verify", "export-scatter"])
+def test_checkpoint_unknown_activation_exit_3(tmp_path, capsys, finished_run, command):
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    ckpt = run / "checkpoint.npz"
+    with np.load(ckpt) as z:
+        meta = json.loads(bytes(z["meta"]).decode())
+    meta["layers"][0]["activation"] = "relu"
+    _rewrite_npz(ckpt, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+    capsys.readouterr()
+    assert main([command, "--run-dir", str(run)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: unreadable run file: {ckpt} (bad_activation: relu)\n")

@@ -47,8 +47,8 @@ def test_conv2d_matches_reference(f, cin, activation, dtype, rounded):
     y, cache = layer.forward(x, want_cache=True)
     want_y, want_z, want_cols = conv2d_reference(x, layer.w, layer.b, f, activation)
     assert y.dtype == want_y.dtype and np.array_equal(y, want_y)
-    cols, zc, n = cache
-    assert n == 3 and np.array_equal(cols, want_cols)
+    cols, zc = cache
+    assert np.array_equal(cols, want_cols)
     assert (zc is None) == (want_z is None)
     assert zc is None or np.array_equal(zc, want_z > 0)
     assert np.array_equal(layer.forward(x, want_cache=False)[0], want_y)
@@ -77,10 +77,31 @@ def test_leaky_relu_backward_matches_mask_multiply(dtype):
                   [-0.0, 2.0, -np.inf, 4.0, 5.0, 0.0, 6.0, 1e-30, -1e-30]], dtype=dtype)
     g = np.concatenate([g, np.random.default_rng(1).standard_normal((50, 9)).astype(dtype)])
     z = np.concatenate([z, np.random.default_rng(2).standard_normal((50, 9)).astype(dtype)])
-    got = _activation_backward("leaky_relu", g, z)
+    got = _activation_backward(g, z > 0.0)
     want = leaky_relu_backward_by_mask(g, z)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert _activation_backward("none", g, None) is g
+    assert _activation_backward(g, None) is g
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_dense_caches_its_mask_and_backward_matches_mask_multiply(dtype):
+    rng = np.random.default_rng(9)
+    net = EmbeddingNet((6,), [dense(5)], seed=2, dtype=dtype)
+    layer = net.layers[0]
+    # dyadic inputs and weights, and a zero sample: some pre-activations are exactly 0
+    layer.w[...] = np.round(4 * layer.w) / 4
+    x = (np.round(2 * rng.standard_normal((7, 6))) / 2).astype(dtype)
+    x[0] = 0.0
+    z = x @ layer.w + layer.b
+    y, (cached_x, mask) = layer.forward(x, want_cache=True)
+    assert (z == 0).any() and (z > 0).any()
+    assert mask.dtype == np.bool_ and np.array_equal(mask, z > 0)
+    assert cached_x is x and np.array_equal(y, np.maximum(np.multiply(z, 0.01), z))
+    g = rng.standard_normal(y.shape).astype(dtype)
+    g_in, (grad_w, grad_b) = layer.backward((cached_x, mask), g)
+    g_z = leaky_relu_backward_by_mask(g, z)
+    for got, want in ((g_in, g_z @ layer.w.T), (grad_w, x.T @ g_z), (grad_b, g_z.sum(axis=0))):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _pool_inputs(dtype):
@@ -103,8 +124,7 @@ def test_maxpool2_matches_argmax_reference(dtype):
         y, cache = layer.forward(x, want_cache=True)
         want_y, want_arg = maxpool2_by_argmax(x)
         assert y.dtype == want_y.dtype and np.array_equal(y, want_y), case
-        arg, n = cache
-        assert n == x.shape[0] and np.array_equal(arg, want_arg), case
+        assert np.array_equal(cache, want_arg), case
         assert np.array_equal(layer.forward(x, want_cache=False)[0], want_y), case
         g = np.random.default_rng(case).standard_normal(y.shape).astype(dtype)
         g_in, grads = layer.backward(cache, g)
@@ -198,7 +218,7 @@ def _assert_net_matches_reference(net, x, g):
             assert (got[1] is None) == (want[1] is None)
             assert got[1] is None or np.array_equal(got[1], want[1] > 0)
         elif layer.spec.kind == "maxpool2":
-            assert np.array_equal(got[0], want)
+            assert np.array_equal(got, want)
     for got, want in zip(net.backward(caches, g), want_grads, strict=True):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -215,21 +235,21 @@ def test_tiled_conv2d_matches_reference(f, activation, dtype, monkeypatch):
     _tile_images(monkeypatch, [layer], 3, dtype)
     assert _tile_sizes([layer], 11, dtype) == [3, 3, 3, 2]
     x = rng.standard_normal((11, 6, 8, 3)).astype(dtype)
-    y, (cols, zc, n) = layer.forward(x, want_cache=True)
+    y, (cols, zc) = layer.forward(x, want_cache=True)
     want_y, want_z, want_cols = conv2d_reference(x, layer.w, layer.b, f, activation)
     assert y.dtype == want_y.dtype and np.array_equal(y, want_y)
-    assert n == 11 and np.array_equal(cols, want_cols)
+    assert np.array_equal(cols, want_cols)
     assert (zc is None) == (want_z is None)
     assert zc is None or np.array_equal(zc, want_z > 0)
     assert np.array_equal(layer.forward(x, want_cache=False)[0], want_y)
 
     g = rng.standard_normal(y.shape).astype(dtype)
-    g_in, grads = layer.backward((cols, zc, n), g)
+    g_in, grads = layer.backward((cols, zc), g)
     want_g_in, want_grads = conv2d_backward_reference(cols, want_z, layer.w, g, f, (6, 8, 3))
     assert g_in.dtype == want_g_in.dtype and np.array_equal(g_in, want_g_in)
     for got, want in zip(grads, want_grads, strict=True):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    none, first_grads = layer.backward((cols, zc, n), g, input_grad=False)
+    none, first_grads = layer.backward((cols, zc), g, input_grad=False)
     assert none is None
     for got, want in zip(first_grads, want_grads, strict=True):
         assert np.array_equal(got, want)
@@ -247,13 +267,13 @@ def test_tiled_maxpool2_matches_argmax_reference(dtype, monkeypatch):
     layer = EmbeddingNet(x.shape[1:], [maxpool2(), flatten()], seed=0, dtype=dtype).layers[0]
     _tile_images(monkeypatch, [layer], 3, dtype)
     assert _tile_sizes([layer], 11, dtype) == [3, 3, 3, 2]
-    y, (arg, n) = layer.forward(x, want_cache=True)
+    y, arg = layer.forward(x, want_cache=True)
     want_y, want_arg = maxpool2_by_argmax(x)
     assert y.dtype == want_y.dtype and np.array_equal(y, want_y)
-    assert n == 11 and np.array_equal(arg, want_arg)
+    assert np.array_equal(arg, want_arg)
     assert np.array_equal(layer.forward(x, want_cache=False)[0], want_y)
     g = rng.standard_normal(y.shape).astype(dtype)
-    g_in, grads = layer.backward((arg, n), g)
+    g_in, grads = layer.backward(arg, g)
     assert grads == []
     assert np.array_equal(g_in, maxpool2_backward_reference(want_arg, g))
 

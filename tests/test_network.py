@@ -15,7 +15,7 @@ from localtriplet.network import (
     save_checkpoint,
     softmax_head_loss,
 )
-from oracles import adam_step_reference, fd_gradient_at, rel_err
+from oracles import adam_step_reference, fd_gradient_at, rel_err, softmax_head_reference
 
 
 def _sum_loss_net(net, x):
@@ -101,6 +101,8 @@ def test_embed_of_no_samples_is_empty(arch, dtype):
     assert got.shape == (0, net.out_dim) and got.dtype == np.dtype(dtype)
     emb, _ = net.forward(np.empty((0,) + net.input_shape), want_cache=False)
     assert emb.shape == (0, net.out_dim)
+    with pytest.raises(ValueError, match="shape_mismatch"):
+        net.embed(np.empty((0, 5)))
 
 
 # ------------------------------------------------------- construction checks
@@ -120,6 +122,13 @@ def test_shape_chain_rejected_at_construction():
         EmbeddingNet((8, 8, 1), [conv2d(4, filter_size=2)], seed=0)  # even filter
     with pytest.raises(ValueError, match="shape_mismatch"):
         EmbeddingNet((8, 8, 1), [conv2d(4)], seed=0)     # ends non-flat
+
+
+def test_unknown_activation_rejected_when_built():
+    with pytest.raises(ValueError, match="bad_activation: relu"):
+        dense(2, activation="relu")
+    with pytest.raises(ValueError, match="bad_activation: relu"):
+        conv2d(4, activation="relu")
 
 
 def test_conv_shape_chain_mnist():
@@ -214,6 +223,21 @@ def test_softmax_confident_correct_logit_low_loss():
     emb = np.array([[1.0, 0.0]])
     loss, _, _ = softmax_head_loss(emb, np.array([0]), head)
     assert loss < 1e-10
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_softmax_head_matches_reference_bytes(dtype):
+    rng = np.random.default_rng(16)
+    emb = rng.standard_normal((9, 6)).astype(dtype)
+    labels = rng.integers(0, 4, size=9)
+    head = SoftmaxHead(6, 4, seed=17)
+    w, b, loss, grad_emb, grads = softmax_head_reference(emb, labels, 4, seed=17)
+    for got, want in ((head.w, w), (head.b, b)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    got_loss, got_grad_emb, got_grads = softmax_head_loss(emb, labels, head)
+    assert got_loss == loss
+    for got, want in zip([got_grad_emb, *got_grads], [grad_emb, *grads], strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_softmax_label_out_of_range():

@@ -160,6 +160,23 @@ def test_non_finite_embedding_raises_diverged():
     assert exc_info.value.reports == []
 
 
+def test_non_finite_validation_embedding_raises_diverged(monkeypatch):
+    net, train_ds, val_ds = _blob_setup()
+    run_epoch = training_mod.run_epoch
+
+    def poisoned(net, config, dataset, epoch, *args, **kwargs):
+        report = run_epoch(net, config, dataset, epoch, *args, **kwargs)
+        if epoch == 1:
+            net.params[0][0, 0] = np.nan
+        return report
+
+    monkeypatch.setattr(training_mod, "run_epoch", poisoned)
+    cfg = TrainConfig(method="mm", e_max=3, convergence_eps=0.0, seed=16)
+    with pytest.raises(DivergedError, match="non-finite embedding of the val split") as exc_info:
+        train(net, cfg, train_ds, val=val_ds)
+    assert [r.epoch for r in exc_info.value.reports] == [0]
+
+
 def test_single_class_dataset_rejected():
     from localtriplet.data import Dataset
     ds = Dataset(np.random.default_rng(0).standard_normal((10, 3)),
