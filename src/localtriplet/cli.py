@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 import urllib.error
@@ -41,7 +42,7 @@ from .data import (
 )
 from .knn import choose_k
 from .losses import LossWeights
-from .network import EmbeddingNet, mnist_cnn, mlp, load_checkpoint, save_checkpoint
+from .network import STAGE_THREADS, EmbeddingNet, mnist_cnn, mlp, load_checkpoint, save_checkpoint
 from .training import (
     METHODS,
     DivergedError,
@@ -314,6 +315,13 @@ def _manifest(out_dir: Path, command: str, opts: dict, train_ds: Dataset,
         "dataset_fingerprint": train_ds.fingerprint(),
         "seed": opts.get("seed"),
         "outputs": sorted(outputs),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpus": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count()),
+            "stage_threads": STAGE_THREADS,
+        },
     }
     _write_json(out_dir / "manifest.json", payload)
 

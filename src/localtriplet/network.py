@@ -32,6 +32,17 @@ threshold: with OpenBLAS 0.3.31, a float64 conv of 4 output channels over
 27 inputs changes its last bits as its GEMM crosses the small-matrix
 threshold, for a tile as for a smaller whole batch.
 
+The stage's tiles, forward and backward, and then its layers' parameter
+gradients run on STAGE_THREADS threads: the caller and a pool of helper
+threads, started by the first stage of more than one tile, pull them from
+one queue. Only forward_tile, backward_tile and param_grads run on a
+helper; the net's and the layers' forward/backward and Adam stay on the
+calling thread. The bits do not depend on the pool size or on which
+thread runs what: a tile runs the same operations on the same rows as on
+one thread and writes only its own rows of the output, the caches, the
+activation gradient and the input gradient, and each parameter gradient
+is still one whole-batch GEMM on one thread.
+
 A layer caches only what its backward reads: a conv its im2col columns
 and the leaky ReLU mask z > 0 (the backward reads only z's sign), a pool
 its argmax, a dense layer its input and mask, a flatten nothing; `embed`
@@ -41,6 +52,8 @@ float64 image, 451,584 of them conv2's im2col columns; 313,728 in float32.
 from __future__ import annotations
 
 import json
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -54,6 +67,7 @@ TILE_BYTES = 1 << 21   # largest per-image tensor of an image-stage tile, in byt
 MIN_GEMM_ROWS = 4      # fewer rows take another BLAS path, with other bits
 STEP_ELEMENTS = 1 << 14   # Adam updates larger parameters in row blocks of about this size
 EMBED_ROWS = 512       # embed runs the stack on chunks of this many samples
+STAGE_THREADS = 2      # threads that run an image stage's tiles, the caller's included
 
 
 @dataclass(frozen=True)
@@ -300,36 +314,103 @@ def _tiles(layers, n: int, itemsize: int):
     return zip(edges[:-1], edges[1:])
 
 
+_pools: dict = {}   # STAGE_THREADS -> executor of its helper threads, made on first use
+os.register_at_fork(after_in_child=_pools.clear)   # a forked child has no helper threads
+
+
+def _each(fn, items, inline: bool = False) -> None:
+    """fn(item) for every item (none of them None), in no fixed order: the
+    calling thread and STAGE_THREADS - 1 helper threads pull items from one
+    shared iterator; with inline, or fewer than two items, the calling
+    thread runs them all. The helpers have finished when this returns, and
+    the first exception of any fn call is raised here."""
+    items = list(items)
+    helpers = 0 if inline else min(STAGE_THREADS, len(items)) - 1
+    if helpers < 1:
+        for item in items:
+            fn(item)
+        return
+    pool = _pools.get(STAGE_THREADS)
+    if pool is None:
+        # imported here, so that a run without an image stage does not load
+        # it and its imports (about 1 MB)
+        from concurrent.futures import ThreadPoolExecutor
+        pool = _pools[STAGE_THREADS] = ThreadPoolExecutor(STAGE_THREADS - 1, "localtriplet-stage")
+    pending = iter(items)
+    lock = threading.Lock()
+    errors = []
+
+    def work():
+        while True:
+            with lock:
+                item = None if errors else next(pending, None)
+            if item is None:
+                return
+            try:
+                fn(item)
+            except BaseException as err:
+                with lock:
+                    errors.append(err)
+
+    futures = [pool.submit(work) for _ in range(helpers)]
+    try:
+        work()
+    finally:
+        # waits for every helper; an error of work itself joins fn's
+        errors += filter(None, [future.exception() for future in futures])
+        # a pool thread drops its finished task a moment after the wait
+        # ends; fn and what it holds (a batch's caches) must not live on
+        fn = None
+    if errors:
+        raise errors[0]
+
+
 def _stage_forward(layers, x: np.ndarray, want_cache: bool):
     """Run conv/pool layers tile by tile, each tile through all of them
-    before the next; returns the whole batch's output and per-layer
-    caches (None without want_cache)."""
+    (tiles on _each's threads); returns the whole batch's output and
+    per-layer caches (None without want_cache)."""
     n = x.shape[0]
     caches = [layer.new_cache(n, x.dtype) if want_cache else None for layer in layers]
     out = np.empty((n,) + layers[-1].out_shape, dtype=x.dtype)
-    for lo, hi in _tiles(layers, n, x.dtype.itemsize):
+
+    def tile(edges):
+        lo, hi = edges
         t = x[lo:hi]
         for layer, cache in zip(layers, caches):
             t = layer.forward_tile(t, cache, lo, hi)
         out[lo:hi] = t
+
+    _each(tile, _tiles(layers, n, x.dtype.itemsize))
     return out, caches
 
 
 def _stage_backward(layers, caches, g: np.ndarray, input_grad: bool):
-    """Backward of _stage_forward: the per-element steps tile by tile, the
-    parameter gradients as whole-batch reductions after the last tile.
-    Returns (input gradient or None, parameter gradients in layer order)."""
+    """Backward of _stage_forward: the per-element steps tile by tile, then
+    each layer's parameter gradients as whole-batch reductions, both on
+    _each's threads. Returns (input gradient or None, parameter gradients
+    in layer order)."""
     n = g.shape[0]
     g_zs = [layer.grad_buffer(n, g.dtype) for layer in layers]
     g_in = np.empty((n,) + layers[0].in_shape, dtype=g.dtype) if input_grad else None
-    for lo, hi in _tiles(layers, n, g.dtype.itemsize):
+
+    def tile(edges):
+        lo, hi = edges
         t = g[lo:hi]
         for i in reversed(range(len(layers))):
             t = layers[i].backward_tile(caches[i], t, g_zs[i], lo, hi, input_grad or i > 0)
         if input_grad:
             g_in[lo:hi] = t
-    return g_in, [p for layer, cache, g_z in zip(layers, caches, g_zs)
-                  for p in layer.param_grads(cache, g_z)]
+
+    tiles = list(_tiles(layers, n, g.dtype.itemsize))
+    _each(tile, tiles)
+    grads = [None] * len(layers)
+
+    def reduce(i):
+        grads[i] = layers[i].param_grads(caches[i], g_zs[i])
+
+    # a one-tile batch is too small to be worth a hand-over
+    _each(reduce, range(len(layers)), inline=len(tiles) < 2)
+    return g_in, [p for layer_grads in grads for p in layer_grads]
 
 
 class _Flatten:

@@ -36,7 +36,8 @@ PHASES = ("embed", "snapshot", "mine", "optimize")
 
 
 class DivergedError(RuntimeError):
-    """Raised when a batch loss or embedding is non-finite; carries partial reports."""
+    """Raised when a batch loss, embedding or parameter is non-finite; carries
+    partial reports."""
 
     def __init__(self, message: str, reports=None):
         super().__init__(message)
@@ -284,7 +285,8 @@ def train(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
     Returns (net, reports, stop_reason) with stop_reason "converged" or
     "max_epochs". When a validation set is given, per-epoch KNN accuracy
     is tracked and the best-validation parameters are restored at the
-    end. Divergence raises DivergedError carrying the partial reports.
+    end. Divergence (a non-finite batch loss, embedding, or parameter
+    after an epoch) raises DivergedError carrying the earlier epochs' reports.
     """
     if np.unique(dataset.labels).size < 2 and config.method != "softmax":
         raise ValueError("no_negative: training needs at least two classes")
@@ -293,7 +295,8 @@ def train(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
         head = SoftmaxHead(net.out_dim, int(dataset.labels.max()) + 1,
                            seed=config.seed + 1)
     rng = np.random.default_rng(config.seed)
-    adam = Adam(net.params + (head.params if head else []), lr=config.lr)
+    params = net.params + (head.params if head else [])
+    adam = Adam(params, lr=config.lr)
     k = resolve_k(config, dataset.n)
 
     reports: list[EpochReport] = []
@@ -310,6 +313,10 @@ def train(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
                 if best_val is None or acc > best_val:
                     best_val = acc
                     best_params = [p.copy() for p in net.params]
+            # a step that makes a parameter non-finite shows in the next
+            # step's loss or embedding, except the last step of the run
+            if not all(np.all(np.isfinite(p)) for p in params):
+                raise DivergedError(f"diverged: non-finite parameters after epoch {epoch}")
         except DivergedError as err:
             err.reports = reports
             raise

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from localtriplet import network
 from localtriplet.cli import COMMANDS, main
 from localtriplet.data import load_dataset
 from localtriplet.knn import choose_k
@@ -88,6 +89,28 @@ def test_train_divergence_exit_4(tmp_path, capsys, method, cause):
                  "--lr", "1e300", "--out-dir", str(tmp_path / "r")])
     assert code == 4
     assert cause in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_non_finite_parameters_after_last_step_exit_4(tmp_path, capsys):
+    # the run's only epoch ends on the step that overflows the parameters,
+    # so no later loss or embedding shows it
+    out = tmp_path / "r"
+    code = main(["train", "--method", "mm", "--lr", "1e305", "--epochs", "1",
+                 "--classes", "3", "--per-class", "20", "--convergence-eps", "0",
+                 "--out-dir", str(out)])
+    assert code == 4
+    assert "non-finite parameters after epoch 0" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_manifest_records_environment(tmp_path):
+    out = _train_run(tmp_path)
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["python"].count(".") == 2
+    assert env["cpus"] >= 1
+    assert env["stage_threads"] == network.STAGE_THREADS
 
 
 def test_train_missing_data_path_exit_3(tmp_path, capsys):
