@@ -3,11 +3,11 @@
 One epoch of the neighborhood-margin methods re-embeds the training set,
 freezes a NeighborhoodSnapshot, mines one triplet per anchor in shuffled
 order in one pass, and optimizes the combined loss batch by batch;
-snapshot values stay fixed for the whole epoch. Fixed-margin baselines run
-the same loop without the snapshot, batch-hard mining draws its triplets
-inside class-balanced sample batches, and every triplet method takes its
-optimizer steps through the same batch step. The softmax baseline trains
-the extractor end to end through a linear head.
+snapshot values stay fixed for the whole epoch. Fixed-margin baselines mine
+the same way without the snapshot, batch-hard mining draws its triplets
+inside class-balanced sample batches, and the softmax baseline trains the
+extractor end to end through a linear head. Every method, softmax
+included, runs one batch loop; a method only chooses its batches.
 
 Runs are reproducible bit for bit: a single Generator seeded from the
 config drives every shuffle and draw in a fixed order.
@@ -119,26 +119,18 @@ def _batched(seq, size):
         yield seq[lo:lo + size]
 
 
-def _triplet_step(net, emb, caches, rows, d_ak_pos, weights, margin, adam):
-    """One optimizer step on a triplet batch.
-
-    emb and caches come from the caller's forward pass; rows is an (m, 3)
-    array of (anchor, positive, negative) row indices into emb. The
-    combined-loss gradients are summed per embedding row, pushed back
-    through the network, and Adam takes one step. Returns (loss value,
-    number of active hinges).
-    """
+def _triplet_grad(emb, rows, d_ak_pos, weights, margin):
+    """(loss value, gradient with respect to emb, number of active hinges)
+    of the combined loss on a triplet batch; rows is an (m, 3) array of
+    (anchor, positive, negative) row indices into emb."""
     ra, rp, rn = rows.T
     value, ga, gp, gn, _, active = combined_loss(
         emb[ra], emb[rp], emb[rn], weights, d_ak_pos=d_ak_pos, margin=margin)
-    if not np.isfinite(value):
-        raise DivergedError(f"diverged: non-finite batch loss {value}")
     grad_emb = np.zeros_like(emb)
     np.add.at(grad_emb, ra, ga)
     np.add.at(grad_emb, rp, gp)
     np.add.at(grad_emb, rn, gn)
-    adam.step(net.params, net.backward(caches, grad_emb))
-    return value, int(np.sum(active))
+    return value, grad_emb, int(np.sum(active))
 
 
 def _hardmin_batches(labels, batch_size, rng):
@@ -166,15 +158,15 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
               head: SoftmaxHead | None = None) -> EpochReport:
     """One pass over the training set with the configured method.
 
-    Each batch loop deletes its batch's embeddings and caches before the
-    next batch's forward allocates its own, so one batch of caches is alive
-    at a time.
+    Each method only chooses its batches, and one loop runs every batch:
+    forward, loss, backward, then the Adam step. The batch's embeddings and
+    caches are deleted before the step, so one batch of caches is alive at
+    a time.
     """
     clock = time.perf_counter
     t0 = clock()
     phases = dict.fromkeys(PHASES, 0.0)
     labels = dataset.labels
-    samples = dataset.samples
     k = resolve_k(config, dataset.n)
     method = config.method
 
@@ -184,39 +176,20 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
         t1 = clock()
         snapshot = take_snapshot(build_index(embedded, labels, metric="euclidean"), k, epoch)
         phases["embed"], phases["snapshot"] = t1 - t0, clock() - t1
+        # finite embeddings can still overflow their squared distances
+        if not (np.all(np.isfinite(snapshot.d_ak))
+                and np.all(np.isfinite(snapshot.d_ak_pos[snapshot.has_positive]))):
+            raise DivergedError(f"diverged: snapshot distances overflow in epoch {epoch}")
 
-    batch_losses: list[float] = []
-    n_triplets = 0
-    n_active = 0
-
+    params = net.params
     if method == "softmax":
         if head is None:
             raise ValueError("bad_config: softmax method needs a head")
-        order = rng.permutation(dataset.n)
-        for batch in _batched(order, config.batch_size):
-            emb, caches = net.forward(samples[batch])
-            value, grad_emb, head_grads = softmax_head_loss(emb, labels[batch], head)
-            if not np.isfinite(value):
-                raise DivergedError(f"diverged: non-finite batch loss {value}")
-            grads = net.backward(caches, grad_emb)
-            del emb, caches
-            adam.step(net.params + head.params, grads + head_grads)
-            batch_losses.append(value)
+        params = params + head.params
+        batches = _batched(rng.permutation(dataset.n), config.batch_size)
     elif method == "mm_hardmin":
-        # mining needs the embeddings of the whole class-balanced batch
-        for batch in _hardmin_batches(labels, config.batch_size, rng):
-            emb, caches = net.forward(samples[batch])
-            t1 = clock()
-            # a tail batch may hold anchors without an in-batch positive or negative
-            rows = mine_hard(emb, labels[batch], trainable_anchors(labels[batch]))
-            phases["mine"] += clock() - t1
-            if rows.size:
-                value, active = _triplet_step(net, emb, caches, rows, None, config.weights,
-                                              "fixed", adam)
-                batch_losses.append(value)
-                n_triplets += len(rows)
-                n_active += active
-            del emb, caches
+        # rows are mined in the loop from the whole class-balanced batch's embeddings
+        batches = _hardmin_batches(labels, config.batch_size, rng)
     else:
         # lm / lm_mining / mm: one triplet per anchor that has a positive and a negative
         t1 = clock()
@@ -227,17 +200,40 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
         else:
             triplets = mine_uniform(labels, anchors, rng)
         phases["mine"] = clock() - t1
-        margin = "local" if method in _SNAPSHOT_METHODS else "fixed"
-        for chunk in _batched(triplets, config.batch_size):
-            ids, rows = np.unique(chunk, return_inverse=True)
-            emb, caches = net.forward(samples[ids])
-            d_pos = snapshot.d_ak_pos[chunk[:, 0]] if snapshot is not None else None
-            value, active = _triplet_step(net, emb, caches, rows.reshape(chunk.shape), d_pos,
-                                          config.weights, margin, adam)
-            del emb, caches
-            batch_losses.append(value)
-            n_triplets += len(chunk)
+        batches = _batched(triplets, config.batch_size)
+    margin = "local" if method in _SNAPSHOT_METHODS else "fixed"
+
+    batch_losses: list[float] = []
+    n_triplets = 0
+    n_active = 0
+    for batch in batches:
+        grads = None    # frees the last step's gradients; stays None for a batch without triplets
+        ids, rows = batch, None
+        if batch.ndim == 2:     # a chunk of triplets: its distinct ids, and rows into them
+            ids, rows = np.unique(batch, return_inverse=True)
+            rows = rows.reshape(len(batch), 3)     # its shape differs between numpy versions
+        emb, caches = net.forward(dataset.samples[ids])
+        if method == "mm_hardmin":
+            t1 = clock()
+            # a tail batch may hold anchors without an in-batch positive or negative
+            rows = mine_hard(emb, labels[ids], trainable_anchors(labels[ids]))
+            phases["mine"] += clock() - t1
+        if method == "softmax":
+            value, grad_emb, grads = softmax_head_loss(emb, labels[ids], head)
+        elif rows.size:
+            d_pos = snapshot.d_ak_pos[ids[rows[:, 0]]] if snapshot is not None else None
+            value, grad_emb, active = _triplet_grad(emb, rows, d_pos, config.weights, margin)
+            grads = []
+            n_triplets += len(rows)
             n_active += active
+        if grads is not None:
+            if not np.isfinite(value):
+                raise DivergedError(f"diverged: non-finite batch loss {value}")
+            grads = net.backward(caches, grad_emb) + grads
+        del emb, caches
+        if grads is not None:
+            adam.step(params, grads)
+            batch_losses.append(value)
 
     mean_loss = float(np.mean(batch_losses)) if batch_losses else 0.0
     wall_time = clock() - t0

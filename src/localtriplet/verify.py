@@ -169,19 +169,17 @@ def pca_reduce(vectors, out_dim: int):
     return centered @ components.T, components, explained
 
 
-def write_scatter_csv(path, xy: np.ndarray, labels, status=None, ids=None) -> None:
-    """CSV export (query_id, x, y, label, status) for external plotting."""
+def write_scatter_csv(path, xy: np.ndarray, labels, status=None) -> None:
+    """CSV export (query_id: the row number, x, y, label, status) for external plotting."""
     xy = np.asarray(xy, dtype=np.float64)
     labels = np.asarray(labels)
     n = xy.shape[0]
-    if ids is None:
-        ids = range(n)
     if status is None:
         status = [""] * n
     with atomic_open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["query_id", "x", "y", "label", "status"])
-        for i, (qid, row, lab, st) in enumerate(zip(ids, xy, labels, status)):
+        for qid, (row, lab, st) in enumerate(zip(xy, labels, status)):
             w.writerow([qid, repr(float(row[0])), repr(float(row[1])), int(lab), st])
 
 

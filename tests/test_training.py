@@ -177,6 +177,48 @@ def test_non_finite_validation_embedding_raises_diverged(monkeypatch):
     assert [r.epoch for r in exc_info.value.reports] == [0]
 
 
+@pytest.mark.parametrize("method", ["lm", "lm_mining"])
+def test_overflowing_snapshot_distances_raise_diverged(method):
+    # embeddings up to ~5.8e161 are finite, but their squared distances
+    # overflow, so the snapshot's d_ak and d_ak_pos come out non-finite
+    net = EmbeddingNet((8,), mlp(16, 8), seed=0)
+    for p in net.params:
+        p *= 1e80
+    ds = make_blobs(3, 30, 8, 12.0, 1.0, 1)
+    assert np.all(np.isfinite(net.embed(ds.samples)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergedError,
+                           match="snapshot distances overflow in epoch 0") as exc_info:
+            train(net, TrainConfig(method=method, e_max=1), ds)
+    assert exc_info.value.reports == []
+
+
+def _one_class_tail_blobs():
+    """48 12x12 images in classes of 12, 12 and 24. At batch_size 12,
+    mm_hardmin draws 4 samples per class into each of 6 batches, and the
+    last 3 batches of an epoch hold class 2 alone."""
+    from localtriplet.data import Dataset
+    ds = make_blobs(4, 12, 144, spacing=0.5, std=0.3, seed=17)
+    return Dataset(ds.samples, np.minimum(ds.labels, 2), (12, 12, 1))
+
+
+def test_hardmin_batches_of_one_class_take_no_step(monkeypatch):
+    steps = []
+    step = training_mod.Adam.step
+
+    def counting(self, params, grads):
+        steps.append(1)
+        step(self, params, grads)
+
+    monkeypatch.setattr(training_mod.Adam, "step", counting)
+    net = EmbeddingNet((12, 12, 1), mnist_cnn(), seed=18)
+    cfg = TrainConfig(method="mm_hardmin", e_max=2, convergence_eps=0.0, seed=19, lr=1e-3,
+                      batch_size=12)
+    net, reports, _ = train(net, cfg, _one_class_tail_blobs())
+    assert len(steps) == 6
+    assert [r.n_triplets for r in reports] == [36, 36]
+
+
 def test_single_class_dataset_rejected():
     from localtriplet.data import Dataset
     ds = Dataset(np.random.default_rng(0).standard_normal((10, 3)),
@@ -232,12 +274,19 @@ def _arrays(cache):
     return []
 
 
-@pytest.mark.parametrize("method", ["softmax", "mm_hardmin", "lm_mining"])
-def test_one_batch_of_caches_alive_at_a_time(method):
+@pytest.mark.parametrize("method, one_class_tail", [
+    pytest.param("softmax", False, id="softmax"),
+    pytest.param("mm_hardmin", False, id="mm_hardmin"),
+    pytest.param("lm_mining", False, id="lm_mining"),
+    # batches without a triplet take no step but must free their caches too
+    pytest.param("mm_hardmin", True, id="mm_hardmin-one-class-tail"),
+])
+def test_one_batch_of_caches_alive_at_a_time(method, one_class_tail):
     # a batch's caches (conv im2col columns and activation masks, pooling
     # argmax, dense inputs) must be freed before the next batch's forward
     # allocates its own; refcounting frees them, no gc pass is run
-    ds = make_blobs(3, 12, 144, spacing=0.5, std=0.3, seed=17)
+    ds = (_one_class_tail_blobs() if one_class_tail else
+          make_blobs(3, 12, 144, spacing=0.5, std=0.3, seed=17))
     net = EmbeddingNet((12, 12, 1), mnist_cnn(), seed=18)
     forward = net.forward
     held = []        # weak references to the previous cached forward's arrays
