@@ -42,7 +42,16 @@ from .data import (
 )
 from .knn import choose_k
 from .losses import LossWeights
-from .network import STAGE_THREADS, EmbeddingNet, mnist_cnn, mlp, load_checkpoint, save_checkpoint
+from .network import (
+    BLAS_THREADS,
+    CPUS,
+    STAGE_THREADS,
+    EmbeddingNet,
+    load_checkpoint,
+    mlp,
+    mnist_cnn,
+    save_checkpoint,
+)
 from .training import (
     METHODS,
     DivergedError,
@@ -300,9 +309,15 @@ def _train_config(opts: dict) -> TrainConfig:
         raise ConfigError(str(err)) from err
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: dict) -> str:
+    """Write payload as strict JSON (no NaN or infinity) and return the text."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as err:
+        raise DivergedError(f"diverged: non-finite value for {path.name}") from err
     with atomic_open(path, "w") as f:
-        f.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        f.write(text + "\n")
+    return text
 
 
 def _manifest(out_dir: Path, command: str, opts: dict, train_ds: Dataset,
@@ -318,8 +333,8 @@ def _manifest(out_dir: Path, command: str, opts: dict, train_ds: Dataset,
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "cpus": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                     else os.cpu_count()),
+            "cpus": CPUS,
+            "blas_threads": BLAS_THREADS,
             "stage_threads": STAGE_THREADS,
         },
     }
@@ -335,8 +350,11 @@ def _train_into(out_dir: Path, opts: dict):
     config = _train_config(opts)
 
     lines: list[str] = []
-    net, reports, reason = train(net, config, train_ds, val=val_ds,
-                                 log_fn=lambda r: lines.append(r.to_json_line()))
+    try:
+        net, reports, reason = train(net, config, train_ds, val=val_ds,
+                                     log_fn=lambda r: lines.append(r.to_json_line()))
+    except ValueError as err:     # a training set the method cannot train on
+        raise DataError(str(err)) from err
     with atomic_open(out_dir / "epochs.jsonl", "w") as f:
         f.write("".join(line + "\n" for line in lines))
     with atomic_open(out_dir / "timings.jsonl", "w") as f:
@@ -455,8 +473,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
             "impure": purity.impure_count,
             "purity": purity.purity,
         })
-    _write_json(run / "verify_summary.json", summary)
-    print(json.dumps(summary, sort_keys=True, indent=2))
+    print(_write_json(run / "verify_summary.json", summary))
     return 0
 
 

@@ -254,9 +254,10 @@ def save_dataset(path, dataset: Dataset) -> None:
         "split": dataset.split,
         "normalization": dataset.normalization,
     }
+    text = json.dumps(meta, sort_keys=True, allow_nan=False)
     with atomic_open(path) as f:
         np.savez(f, samples=dataset.samples, labels=dataset.labels,
-                 meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8))
+                 meta=np.frombuffer(text.encode(), dtype=np.uint8))
 
 
 def load_dataset(path) -> Dataset:

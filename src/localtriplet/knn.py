@@ -302,10 +302,12 @@ def _pinned(q, p, qi, pj, metric: str) -> np.ndarray:
     (gathers of twice that size took up to 2.4x longer per distance)."""
     out = np.empty(qi.size)
     step = max(1, BLOCK_ELEMENTS // (2 * q.shape[1]))
-    for lo in range(0, qi.size, step):
-        d = np.take(q, qi[lo:lo + step], axis=0)
-        d -= np.take(p, pj[lo:lo + step], axis=0)
-        out[lo:lo + step] = np.sum(np.multiply(d, d, out=d), axis=1)
+    # an overflow gives an infinite distance, which the callers report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, qi.size, step):
+            d = np.take(q, qi[lo:lo + step], axis=0)
+            d -= np.take(p, pj[lo:lo + step], axis=0)
+            out[lo:lo + step] = np.sum(np.multiply(d, d, out=d), axis=1)
     return np.sqrt(out, out=out) if metric == "euclidean" else out
 
 
@@ -314,21 +316,28 @@ def screen(q: np.ndarray, p: np.ndarray, own=None, layout: ClassLayout | None = 
     rows x points of the float64 matrices q and p (in layout order, if
     given). own, if given, is the column each query row leaves out."""
     (m, dim), n = q.shape, p.shape[0]
-    centre = np.mean(p, axis=0)
-    b = p - centre
-    a = b if q is p else q - centre
-    na, nb = (np.einsum("ij,ij->i", v, v) for v in (a, b))
-    scale = na + np.max(nb)
-    # 2 * B_i
-    window = np.where(scale < 2.0 ** 1020, 16 * (dim + 6) * _U * (scale + _TINY), np.inf)
+    # overflowing points give infinite windows and estimates, which keep
+    # every column a candidate, and infinite pinned distances, which the
+    # callers report; each errstate closes before a yield, so the caller's
+    # own error state holds between blocks
+    quiet = {"over": "ignore", "invalid": "ignore"}
+    with np.errstate(**quiet):
+        centre = np.mean(p, axis=0)
+        b = p - centre
+        a = b if q is p else q - centre
+        na, nb = (np.einsum("ij,ij->i", v, v) for v in (a, b))
+        scale = na + np.max(nb)
+        # 2 * B_i
+        window = np.where(scale < 2.0 ** 1020, 16 * (dim + 6) * _U * (scale + _TINY), np.inf)
+        a = -2.0 * a        # exact: a power-of-two scaling of the GEMM's terms
     rows = max(1, BLOCK_ELEMENTS // n)
     buf = np.empty((min(rows, m), n))
-    a = -2.0 * a        # exact: a power-of-two scaling of the GEMM's terms
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
-        est = np.matmul(a[lo:hi], b.T, out=buf[:hi - lo])
-        est += na[lo:hi, None]
-        est += nb
+        with np.errstate(**quiet):
+            est = np.matmul(a[lo:hi], b.T, out=buf[:hi - lo])
+            est += na[lo:hi, None]
+            est += nb
         yield ScreenBlock(q, p, lo, est, window[lo:hi], own, layout)
 
 
@@ -439,9 +448,10 @@ class NeighborhoodSnapshot:
     def max_d_ak(self) -> float:
         return float(np.max(self.d_ak))
 
-    def mean_d_ak_pos(self) -> float:
+    def mean_d_ak_pos(self) -> float | None:
+        """The mean d_ak_pos of the anchors with a positive; None without one."""
         usable = self.d_ak_pos[self.has_positive]
-        return float(np.mean(usable)) if usable.size else float("nan")
+        return float(np.mean(usable)) if usable.size else None
 
 
 def take_snapshot(index: NeighborIndex, k: int, epoch: int = 0) -> NeighborhoodSnapshot:

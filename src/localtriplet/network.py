@@ -25,23 +25,48 @@ independently, so every output keeps its bits:
 - the parameter gradients `cols.T @ g` and the bias sums reduce over the
   batch, and per-tile sums would reorder their additions: the tiles fill
   whole-batch caches (`cols`, the activation mask, the pooling argmax) and
-  a whole-batch activation gradient, reduced once after the last tile.
+  a whole-batch activation gradient, reduced by one GEMM over the batch.
 The split is exact for the `mnist_cnn` shapes (OpenBLAS, one and two
 threads). It need not be where a BLAS switches kernels at a size
 threshold: with OpenBLAS 0.3.31, a float64 conv of 4 output channels over
 27 inputs changes its last bits as its GEMM crosses the small-matrix
 threshold, for a tile as for a smaller whole batch.
 
-The stage's tiles, forward and backward, and then its layers' parameter
-gradients run on STAGE_THREADS threads: the caller and a pool of helper
-threads, started by the first stage of more than one tile, pull them from
-one queue. Only forward_tile, backward_tile and param_grads run on a
-helper; the net's and the layers' forward/backward and Adam stay on the
-calling thread. The bits do not depend on the pool size or on which
-thread runs what: a tile runs the same operations on the same rows as on
-one thread and writes only its own rows of the output, the caches, the
-activation gradient and the input gradient, and each parameter gradient
-is still one whole-batch GEMM on one thread.
+A weight gradient `x.T @ g` (x: a layer's input rows or im2col columns,
+g: its pre-activation gradient rows) is one GEMM whose sum runs over the
+batch rows. When x has more columns than g it is computed as
+`(g.T @ x).T`, with the narrower operand first, which OpenBLAS runs
+faster (conv2 of `mnist_cnn`, 288 vs 64 columns: 25.5 against 34.5 ms per
+128 images). Each entry is still the dot product of the same two columns
+over the batch rows, and OpenBLAS sums it in the same order in both
+forms, so the result keeps its bits; tests/test_stage_threads.py pins the
+two forms against each other over the shapes `--arch` builds, so a BLAS
+on which they differ fails there.
+
+The stage's backward runs segment by segment from the last layer. A
+segment is one parameter layer and the parameter-free layers after it
+(the stage's first segment may have no parameter layer). A segment's
+tiles fill its parameter layer's whole-batch activation gradient and one
+whole-batch gradient at its input, the boundary the next segment's tiles
+read; so its weight-gradient GEMM can start as soon as its last tile has
+finished, alongside the next segment's tiles. For `mnist_cnn` conv2's GEMM
+overlaps the pool1/conv1 tiles and conv1's GEMM, for one boundary array of
+n x 14 x 14 x 32 values.
+
+The stage's forward and backward jobs (tiles, and then weight gradients
+in the backward) run on STAGE_THREADS threads: the caller and a pool of
+helper threads, started by the first stage of more than one tile, pull
+them from one list. STAGE_THREADS is the usable CPUs divided by numpy's
+BLAS threads, so that the stage threads' GEMMs do not oversubscribe the
+cores, and 1 where the BLAS does not report its thread count. Only
+forward_tile, backward_tile and param_grads run on a helper; the net's and
+the layers' forward/backward and Adam stay on the calling thread. The bits
+do not depend on the pool size or on which thread runs what: a tile runs
+the same operations on the same rows as on one thread and writes only its
+own rows of the output, the caches, the activation gradient and the
+segment's input gradient, a job that reads a whole-batch gradient starts
+only after every tile that writes it, and each parameter gradient is
+still one whole-batch GEMM on one thread.
 
 A layer caches only what its backward reads: a conv its im2col columns
 and the leaky ReLU mask z > 0 (the backward reads only z's sign), a pool
@@ -51,10 +76,14 @@ float64 image, 451,584 of them conv2's im2col columns; 313,728 in float32.
 """
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import threading
+from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -67,7 +96,30 @@ TILE_BYTES = 1 << 21   # largest per-image tensor of an image-stage tile, in byt
 MIN_GEMM_ROWS = 4      # fewer rows take another BLAS path, with other bits
 STEP_ELEMENTS = 1 << 14   # Adam updates larger parameters in row blocks of about this size
 EMBED_ROWS = 512       # embed runs the stack on chunks of this many samples
-STAGE_THREADS = 2      # threads that run an image stage's tiles, the caller's included
+
+
+def _blas_threads() -> int | None:
+    """The thread count of numpy's bundled OpenBLAS, or None where numpy's
+    BLAS has no scipy_openblas_get_num_threads64_ (another BLAS or build)."""
+    try:
+        from numpy.linalg import _umath_linalg   # an extension linked to numpy's BLAS
+        get = ctypes.CDLL(_umath_linalg.__file__).scipy_openblas_get_num_threads64_
+        get.argtypes, get.restype = [], ctypes.c_int
+        return get()
+    except (ImportError, OSError, AttributeError):
+        return None
+
+
+def _stage_threads(cpus: int, blas_threads: int | None) -> int:
+    """As many stage threads as the usable CPUs hold BLAS thread teams, at
+    least one; one where the BLAS thread count is unknown."""
+    return max(1, cpus // blas_threads) if blas_threads else 1
+
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+BLAS_THREADS = _blas_threads()
+# threads that run an image stage's jobs, the caller's included
+STAGE_THREADS = _stage_threads(CPUS, BLAS_THREADS)
 
 
 @dataclass(frozen=True)
@@ -242,7 +294,7 @@ class _Conv2d(_ImageLayer):
         return g_pad[:, p:p + h, p:p + w, :]
 
     def param_grads(self, cache, g_z: np.ndarray):
-        return [cache[0].T @ g_z, g_z.sum(axis=0)]
+        return [_weight_grad(cache[0], g_z), g_z.sum(axis=0)]
 
 
 class _MaxPool2(_ImageLayer):
@@ -298,6 +350,14 @@ class _MaxPool2(_ImageLayer):
         return g_in
 
 
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x.T @ g as one GEMM, the narrower operand first: (g.T @ x).T when x
+    has more columns than g, with the same bits; C-contiguous either way."""
+    if x.shape[1] > g.shape[1]:
+        return np.ascontiguousarray((g.T @ x).T)
+    return x.T @ g
+
+
 def _tiles(layers, n: int, itemsize: int):
     """[lo, hi) image ranges of an image stage's tiles.
 
@@ -311,24 +371,34 @@ def _tiles(layers, n: int, itemsize: int):
     edges = list(range(0, n, size)) + [n]
     if len(edges) > 2 and n - edges[-2] < least:
         del edges[-2]
-    return zip(edges[:-1], edges[1:])
+    return list(zip(edges[:-1], edges[1:]))
+
+
+class _Job(NamedTuple):
+    """One call for _each. Jobs that wait for a group come after every job
+    of that group in the list."""
+
+    run: Callable[[], None]
+    group: int | None = None   # the group whose finishing this job counts toward
+    after: int | None = None   # the group that must have finished before it starts
 
 
 _pools: dict = {}   # STAGE_THREADS -> executor of its helper threads, made on first use
 os.register_at_fork(after_in_child=_pools.clear)   # a forked child has no helper threads
 
 
-def _each(fn, items, inline: bool = False) -> None:
-    """fn(item) for every item (none of them None), in no fixed order: the
-    calling thread and STAGE_THREADS - 1 helper threads pull items from one
-    shared iterator; with inline, or fewer than two items, the calling
-    thread runs them all. The helpers have finished when this returns, and
-    the first exception of any fn call is raised here."""
-    items = list(items)
-    helpers = 0 if inline else min(STAGE_THREADS, len(items)) - 1
+def _each(jobs, inline: bool = False) -> None:
+    """job.run() for every job: the calling thread and STAGE_THREADS - 1
+    helper threads pull the jobs in list order, and one that pulls a job
+    whose `after` group has not finished waits for it; with inline, or
+    fewer than two jobs, the calling thread runs them all in order. The
+    helpers have finished when this returns, and the first exception of any
+    job is raised here; no job starts after it."""
+    jobs = list(jobs)
+    helpers = 0 if inline else min(STAGE_THREADS, len(jobs)) - 1
     if helpers < 1:
-        for item in items:
-            fn(item)
+        for job in jobs:
+            job.run()
         return
     pool = _pools.get(STAGE_THREADS)
     if pool is None:
@@ -336,31 +406,49 @@ def _each(fn, items, inline: bool = False) -> None:
         # it and its imports (about 1 MB)
         from concurrent.futures import ThreadPoolExecutor
         pool = _pools[STAGE_THREADS] = ThreadPoolExecutor(STAGE_THREADS - 1, "localtriplet-stage")
-    pending = iter(items)
-    lock = threading.Lock()
+    left = Counter(job.group for job in jobs if job.group is not None)   # unfinished, per group
+    pending = iter(jobs)
+    state = threading.Condition()
     errors = []
 
     def work():
         while True:
-            with lock:
-                item = None if errors else next(pending, None)
-            if item is None:
-                return
+            with state:
+                job = None if errors else next(pending, None)
+                # the group's jobs were pulled before this one: each is
+                # running, finished or failed, so the wait ends
+                while job is not None and not errors and left[job.after]:
+                    state.wait()
+                if job is None or errors:
+                    return
             try:
-                fn(item)
+                job.run()
             except BaseException as err:
-                with lock:
+                with state:
                     errors.append(err)
+                    state.notify_all()
+                continue
+            if job.group is not None:
+                with state:
+                    left[job.group] -= 1
+                    if not left[job.group]:
+                        state.notify_all()
 
     futures = [pool.submit(work) for _ in range(helpers)]
     try:
         work()
+    except BaseException as err:
+        # raised outside a job (an interrupt in a wait): stop the helpers,
+        # which may wait for a job this thread will not finish
+        with state:
+            errors.append(err)
+            state.notify_all()
     finally:
-        # waits for every helper; an error of work itself joins fn's
+        # waits for every helper; an error of work itself joins the jobs'
         errors += filter(None, [future.exception() for future in futures])
         # a pool thread drops its finished task a moment after the wait
-        # ends; fn and what it holds (a batch's caches) must not live on
-        fn = None
+        # ends; the jobs and what they hold (a batch's caches) must not live on
+        jobs = pending = None
     if errors:
         raise errors[0]
 
@@ -380,37 +468,48 @@ def _stage_forward(layers, x: np.ndarray, want_cache: bool):
             t = layer.forward_tile(t, cache, lo, hi)
         out[lo:hi] = t
 
-    _each(tile, _tiles(layers, n, x.dtype.itemsize))
+    _each(_Job(partial(tile, edges)) for edges in _tiles(layers, n, x.dtype.itemsize))
     return out, caches
 
 
 def _stage_backward(layers, caches, g: np.ndarray, input_grad: bool):
-    """Backward of _stage_forward: the per-element steps tile by tile, then
-    each layer's parameter gradients as whole-batch reductions, both on
-    _each's threads. Returns (input gradient or None, parameter gradients
-    in layer order)."""
+    """Backward of _stage_forward, segment by segment from the last layer
+    (a segment: a parameter layer and the parameter-free layers after it),
+    all on _each's threads. A segment's tiles write its whole-batch input
+    gradient; its parameter gradients, whole-batch reductions, start once
+    its last tile has finished, alongside the next segment's tiles. Returns
+    (input gradient or None, parameter gradients in layer order)."""
     n = g.shape[0]
     g_zs = [layer.grad_buffer(n, g.dtype) for layer in layers]
-    g_in = np.empty((n,) + layers[0].in_shape, dtype=g.dtype) if input_grad else None
+    grads = [[] for _ in layers]
+    starts = [i for i, layer in enumerate(layers) if i == 0 or layer.params]
+    tiles = _tiles(layers, n, g.dtype.itemsize)
 
-    def tile(edges):
+    def tile(first, end, g_out, g_seg, edges):
         lo, hi = edges
-        t = g[lo:hi]
-        for i in reversed(range(len(layers))):
+        t = g_seg[lo:hi]
+        for i in reversed(range(first, end)):
             t = layers[i].backward_tile(caches[i], t, g_zs[i], lo, hi, input_grad or i > 0)
-        if input_grad:
-            g_in[lo:hi] = t
-
-    tiles = list(_tiles(layers, n, g.dtype.itemsize))
-    _each(tile, tiles)
-    grads = [None] * len(layers)
+        if g_out is not None:
+            g_out[lo:hi] = t
 
     def reduce(i):
         grads[i] = layers[i].param_grads(caches[i], g_zs[i])
 
+    jobs = []
+    # jobs in the order: last segment's tiles, its parameter gradients, the
+    # segment before's tiles (after the last's), ..., the first layer's
+    for s, (first, end) in enumerate(reversed(list(zip(starts, starts[1:] + [len(layers)])))):
+        g_out = (np.empty((n,) + layers[first].in_shape, dtype=g.dtype)
+                 if input_grad or first > 0 else None)
+        after = s - 1 if s else None
+        jobs += [_Job(partial(tile, first, end, g_out, g, edges), s, after) for edges in tiles]
+        if layers[first].params:
+            jobs.append(_Job(partial(reduce, first), after=s))
+        g = g_out
     # a one-tile batch is too small to be worth a hand-over
-    _each(reduce, range(len(layers)), inline=len(tiles) < 2)
-    return g_in, [p for layer_grads in grads for p in layer_grads]
+    _each(jobs, inline=len(tiles) < 2)
+    return g, [p for layer_grads in grads for p in layer_grads]
 
 
 class _Flatten:
@@ -456,7 +555,7 @@ class _Dense:
     def backward(self, cache, g: np.ndarray, input_grad: bool = True):
         x, mask = cache
         g = _activation_backward(g, mask)
-        return (g @ self.w.T if input_grad else None), [x.T @ g, g.sum(axis=0)]
+        return (g @ self.w.T if input_grad else None), [_weight_grad(x, g), g.sum(axis=0)]
 
 
 _LAYER_KINDS = {"conv2d": _Conv2d, "maxpool2": _MaxPool2, "flatten": _Flatten, "dense": _Dense}
@@ -648,9 +747,9 @@ def save_checkpoint(path, net: EmbeddingNet, extra: dict | None = None) -> None:
         "extra": extra or {},
     }
     arrays = {f"param_{i:03d}": p for i, p in enumerate(net.params)}
+    text = json.dumps(meta, sort_keys=True, allow_nan=False)
     with atomic_open(path) as f:
-        np.savez(f, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
-                 **arrays)
+        np.savez(f, meta=np.frombuffer(text.encode(), dtype=np.uint8), **arrays)
 
 
 def load_checkpoint(path) -> tuple[EmbeddingNet, dict]:

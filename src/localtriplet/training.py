@@ -91,7 +91,8 @@ class EpochReport:
 
     def to_json_line(self) -> str:
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
-        return json.dumps({k: v for k, v in d.items() if v is not None}, sort_keys=True)
+        return json.dumps({k: v for k, v in d.items() if v is not None}, sort_keys=True,
+                          allow_nan=False)
 
     def timing_json_line(self) -> str:
         """The epoch's wall and per-phase seconds, peak memory and, for the
@@ -100,7 +101,7 @@ class EpochReport:
         d.update((f"{phase}_s", s) for phase, s in (self.phase_times or {}).items())
         if self.snapshot_candidates is not None:
             d["snapshot_candidates"] = self.snapshot_candidates
-        return json.dumps(d, sort_keys=True)
+        return json.dumps(d, sort_keys=True, allow_nan=False)
 
 
 def _peak_rss_mb() -> float:
@@ -235,7 +236,10 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
             adam.step(params, grads)
             batch_losses.append(value)
 
-    mean_loss = float(np.mean(batch_losses)) if batch_losses else 0.0
+    with np.errstate(over="ignore"):   # finite batch losses whose sum overflows
+        mean_loss = float(np.mean(batch_losses)) if batch_losses else 0.0
+    if not np.isfinite(mean_loss):
+        raise DivergedError(f"diverged: non-finite mean batch loss in epoch {epoch}")
     wall_time = clock() - t0
     phases["optimize"] = wall_time - phases["embed"] - phases["snapshot"] - phases["mine"]
     return EpochReport(
@@ -283,9 +287,14 @@ def train(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
     is tracked and the best-validation parameters are restored at the
     end. Divergence (a non-finite batch loss, embedding, or parameter
     after an epoch) raises DivergedError carrying the earlier epochs' reports.
+    A triplet method on a training set without an anchor that has both a
+    positive and a negative raises ValueError: it would train nothing.
     """
-    if np.unique(dataset.labels).size < 2 and config.method != "softmax":
-        raise ValueError("no_negative: training needs at least two classes")
+    if config.method != "softmax" and not trainable_anchors(dataset.labels).size:
+        if np.unique(dataset.labels).size < 2:
+            raise ValueError("no_negative: training needs at least two classes")
+        raise ValueError("no_positive: no class holds two samples, so no anchor has a "
+                         "positive and no triplet can be formed")
     head = None
     if config.method == "softmax":
         head = SoftmaxHead(net.out_dim, int(dataset.labels.max()) + 1,

@@ -110,7 +110,64 @@ def test_manifest_records_environment(tmp_path):
     assert env["numpy"] == np.__version__
     assert env["python"].count(".") == 2
     assert env["cpus"] >= 1
+    assert env["blas_threads"] == network.BLAS_THREADS
     assert env["stage_threads"] == network.STAGE_THREADS
+    # the image stage's pool holds as many BLAS thread teams as there are CPUs
+    assert env["stage_threads"] == (max(1, env["cpus"] // env["blas_threads"])
+                                    if env["blas_threads"] else 1)
+    pinned = os.environ.get("OPENBLAS_NUM_THREADS")
+    if pinned and env["blas_threads"] is not None:
+        assert env["blas_threads"] == int(pinned)
+
+
+@pytest.mark.parametrize("method", ["lm", "lm_mining", "mm", "mm_hardmin"])
+def test_train_without_a_trainable_anchor_exit_3(tmp_path, capsys, method):
+    # six classes of one sample each: no anchor has a positive, so no triplet
+    out = tmp_path / "r"
+    code = main(["train", "--data", "blobs", "--classes", "6", "--per-class", "1",
+                 "--k", "1", "--epochs", "5", "--method", method, "--out-dir", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "no_positive: no class holds two samples" in err
+    assert not (out / "epochs.jsonl").exists()
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN and infinities, as strict parsers do."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_report_value_is_a_numeric_failure(tmp_path):
+    from localtriplet.cli import _write_json
+    from localtriplet.training import DivergedError
+    with pytest.raises(DivergedError, match="non-finite value for report.json"):
+        _write_json(tmp_path / "report.json", {"worst_residual": float("inf")})
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_every_json_artifact_is_strict_json(tmp_path, capsys):
+    run = _train_run(tmp_path)
+    assert main(["eval", "--run-dir", str(run)]) == 0
+    assert main(["verify", "--run-dir", str(run)]) == 0
+    compare = tmp_path / "compare"
+    assert main(["compare", *BLOB_ARGS, "--epochs", "1", "--batch-size", "32",
+                 "--out-dir", str(compare)]) == 0
+    capsys.readouterr()
+    paths = [*run.iterdir(), *compare.rglob("*")]
+    names = {p.name for p in paths if p.suffix in (".json", ".jsonl")}
+    assert {"manifest.json", "epochs.jsonl", "timings.jsonl", "eval_report.json",
+            "verify_summary.json"} <= names
+    for path in paths:
+        if path.suffix == ".json":
+            _strict_json(path.read_text())
+        elif path.suffix == ".jsonl":
+            for line in path.read_text().splitlines():
+                _strict_json(line)
+        elif path.suffix == ".npz":
+            with np.load(path) as z:
+                _strict_json(bytes(z["meta"]).decode())
 
 
 def test_train_missing_data_path_exit_3(tmp_path, capsys):

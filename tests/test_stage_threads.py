@@ -1,19 +1,31 @@
 """The image stage's tiles and parameter gradients run on a small thread
-pool (network.STAGE_THREADS threads, the caller's included). Each tile
-writes only its own rows and each parameter gradient is one whole-batch
-GEMM, so every result must keep its bytes at any pool size; a failing
-tile must surface in the caller with no tile left running, and a run
-without a multi-tile stage must start no thread."""
+pool (network.STAGE_THREADS threads, the caller's included), the backward
+segment by segment with each weight gradient starting once its layer's
+gradient is complete. Each tile writes only its own rows and each
+parameter gradient is one whole-batch GEMM, so every result must keep its
+bytes at any pool size; a failing job must surface in the caller with no
+job left running or started after it, and a run without a multi-tile
+stage must start no thread."""
+import ctypes
 import sys
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from localtriplet import network
 from localtriplet.data import Dataset
-from localtriplet.network import EmbeddingNet, mlp, mnist_cnn
+from localtriplet.network import (
+    EmbeddingNet,
+    conv2d,
+    dense,
+    flatten,
+    maxpool2,
+    mlp,
+    mnist_cnn,
+)
 from localtriplet.training import TrainConfig, train
 
 DTYPES = ["float64", "float32"]
@@ -43,15 +55,16 @@ def _run(net, x, g):
     return arrays + net.backward(caches, g) + [net.embed(x)]
 
 
-def _assert_same_bits_at_1_and_2_threads(net, x, g, monkeypatch):
+def _assert_same_bits_at_1_and_2_threads(net, x, g, monkeypatch, pools=(1, 2)):
     results = []
-    for threads in (1, 2):
+    for threads in pools:
         monkeypatch.setattr(network, "STAGE_THREADS", threads)
         results.append(_run(net, x, g))
-    one, two = results
-    assert len(one) == len(two)
-    for a, b in zip(one, two):
-        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    one = results[0]
+    for other in results[1:]:
+        assert len(one) == len(other)
+        for a, b in zip(one, other):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("batch", list(BATCHES))
@@ -196,7 +209,7 @@ def test_every_item_runs_once_on_more_threads_than_cores(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         done = []
-        network._each(done.append, range(5000))
+        network._each(network._Job(partial(done.append, i)) for i in range(5000))
         assert sorted(done) == list(range(5000))
         for a, b in zip(_run(net, x, g), one, strict=True):
             assert np.array_equal(a, b)
@@ -204,3 +217,197 @@ def test_every_item_runs_once_on_more_threads_than_cores(monkeypatch):
         sys.setswitchinterval(interval)
         for pool in network._pools.values():
             pool.shutdown()
+
+
+# three convs, two of them in a row, so that the backward has three
+# segments; and a stack that starts with a pool, whose first segment has no
+# parameter layer
+STACKS = {
+    "conv_after_conv": [conv2d(4), maxpool2(), conv2d(6), conv2d(8), maxpool2(), flatten(),
+                        dense(10)],
+    "pool_first": [maxpool2(), conv2d(4), conv2d(6), maxpool2(), flatten(), dense(5)],
+}
+
+
+@pytest.mark.parametrize("stack", list(STACKS))
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_segment_schedule_bits_do_not_depend_on_pool_size(stack, dtype, monkeypatch):
+    monkeypatch.setattr(network, "_pools", {})
+    net = EmbeddingNet((16, 16, 3), STACKS[stack], seed=7, dtype=dtype)
+    starts = [i for i, layer in enumerate(net.layers[:net.stage]) if i == 0 or layer.params]
+    assert len(starts) == 3
+    largest = max(layer.image_elements for layer in net.layers[:net.stage])
+    monkeypatch.setattr(network, "TILE_BYTES", 3 * net.dtype.itemsize * largest)
+    assert _tile_sizes(net, 20) == [3] * 6 + [2]
+    rng = np.random.default_rng(8)
+    x = rng.random((20, 16, 16, 3)).astype(dtype)
+    g = rng.standard_normal((20, net.out_dim)).astype(dtype)
+    try:
+        _assert_same_bits_at_1_and_2_threads(net, x, g, monkeypatch, pools=(1, 2, 4))
+    finally:
+        for pool in network._pools.values():
+            pool.shutdown()
+
+
+def test_a_job_starts_only_after_its_group(monkeypatch):
+    monkeypatch.setattr(network, "_pools", {})
+    monkeypatch.setattr(network, "STAGE_THREADS", 4)
+    finished = []
+
+    def member(group, i):
+        time.sleep(0.0002 * (i % 3))
+        finished.append(group)
+
+    def waiter(group):
+        assert finished.count(group) == 5
+
+    jobs = []
+    for group in range(30):
+        jobs += [network._Job(partial(member, group, i), group, group - 1 if group else None)
+                 for i in range(5)]
+        jobs.append(network._Job(partial(waiter, group), after=group))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        network._each(jobs)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in network._pools.values():
+            pool.shutdown()
+    assert sorted(finished) == sorted(list(range(30)) * 5)
+
+
+def test_caller_interrupted_outside_a_job_stops_the_helpers(monkeypatch):
+    # the caller pulls a group's only job and is interrupted before running
+    # it, while the helper waits for that group: the helper must stop, and
+    # the interrupt must reach the caller
+    monkeypatch.setattr(network, "STAGE_THREADS", 2)
+
+    class Interrupted:
+        group = 0
+
+        def __init__(self, caller):
+            self.caller = caller
+
+        @property
+        def after(self):
+            if threading.get_ident() == self.caller:
+                raise KeyboardInterrupt
+            return None
+
+        def run(self):
+            pass
+
+    outcomes = []
+
+    def call():
+        jobs = [Interrupted(threading.get_ident()), network._Job(lambda: None, after=0)]
+        try:
+            network._each(jobs)
+            outcomes.append("done")      # the helper pulled the first job
+        except KeyboardInterrupt:
+            outcomes.append("interrupted")
+
+    for _ in range(50):
+        caller = threading.Thread(target=call)
+        caller.start()
+        caller.join(timeout=10)
+        assert not caller.is_alive()
+        if outcomes[-1] == "interrupted":
+            break
+    assert outcomes[-1] == "interrupted"
+
+
+def test_failing_weight_gradient_in_a_helper_raises_in_caller(monkeypatch):
+    # conv2's weight gradient fails on a helper while the caller runs the
+    # pool1/conv1 tiles: the error reaches the caller, the tile in flight
+    # finishes, no later tile and not conv1's weight gradient start
+    monkeypatch.setattr(network, "STAGE_THREADS", 2)
+    net = EmbeddingNet((28, 28, 1), mnist_cnn(), seed=1)
+    assert len(_tile_sizes(net, 40)) == 10
+    rng = np.random.default_rng(9)
+    x = rng.random((40, 28, 28, 1))
+    emb, caches = net.forward(x)
+    g = rng.standard_normal(emb.shape)
+    conv1, pool1, conv2 = net.layers[:3]
+    lock = threading.Lock()
+    state = {"running": 0, "tiles": 0, "conv1_grads": 0, "raised": 0}
+    error = RuntimeError("weight gradient failed")
+    inner_tile, inner_grads = pool1.backward_tile, conv2.param_grads
+
+    def pool1_tile(*args):
+        with lock:
+            state["running"] += 1
+            state["tiles"] += 1
+        try:
+            time.sleep(0.005)
+            return inner_tile(*args)
+        finally:
+            with lock:
+                state["running"] -= 1
+
+    def conv2_grads(cache, g_z):
+        if threading.current_thread() is not threading.main_thread():
+            state["raised"] += 1
+            raise error
+        return inner_grads(cache, g_z)
+
+    def conv1_grads(cache, g_z):
+        state["conv1_grads"] += 1
+        raise AssertionError("conv1's weight gradient started after the failure")
+
+    monkeypatch.setattr(pool1, "backward_tile", pool1_tile)
+    monkeypatch.setattr(conv2, "param_grads", conv2_grads)
+    monkeypatch.setattr(conv1, "param_grads", conv1_grads)
+    for _ in range(40):       # the job runs on whichever thread pulls it
+        state.update(tiles=0, conv1_grads=0)
+        try:
+            net.backward(caches, g)
+        except RuntimeError as raised:
+            assert raised is error
+            break
+        except AssertionError:
+            pass    # the caller ran conv2's gradient and the run went on to conv1's
+    assert state["raised"] == 1
+    tiles = state["tiles"]
+    assert state["running"] == 0
+    time.sleep(0.05)
+    assert state["tiles"] == tiles < 10 and state["conv1_grads"] == 0
+
+
+# (columns of x, columns of g, batch rows): the weight-gradient GEMMs of
+# mnist_cnn on 28x28x1 and 32x32x3 (conv1, conv2, dense), of mlp(32, 16) on
+# 8-d points, and of a softmax head, at tile, batch and chunk sizes
+WEIGHT_GRAD_SHAPES = (
+    [(9, 32, rows) for rows in (4, 784, 784 * 16)]
+    + [(27, 32, rows) for rows in (1024, 1024 * 16)]
+    + [(288, 64, rows) for rows in (4, 196, 196 * 3, 196 * 128)]
+    + [(288, 64, rows) for rows in (256, 256 * 64)]
+    + [(3136, 128, rows) for rows in (1, 4, 128, 384)]
+    + [(4096, 128, rows) for rows in (16, 128)]
+    + [(8, 32, rows) for rows in (4, 64, 800)]
+    + [(32, 16, rows) for rows in (4, 64, 800)]
+    + [(cols, classes, rows) for cols, classes in ((128, 10), (16, 10), (16, 3))
+       for rows in (4, 128, 512)]
+    + [(64, 64, 100)]
+)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("x_cols,g_cols,rows", WEIGHT_GRAD_SHAPES)
+def test_weight_grad_keeps_the_bits_of_x_transposed_times_g(x_cols, g_cols, rows, dtype):
+    rng = np.random.default_rng(x_cols * 7919 + g_cols * 31 + rows)
+    x = rng.standard_normal((rows, x_cols)).astype(dtype)
+    g = rng.standard_normal((rows, g_cols)).astype(dtype)
+    got = network._weight_grad(x, g)
+    assert got.dtype == x.dtype and got.flags.c_contiguous
+    assert np.array_equal(got, x.T @ g)
+
+
+def test_stage_pool_size_follows_blas_threads(monkeypatch):
+    assert [network._stage_threads(cpus, blas) for cpus, blas in
+            ((2, 1), (2, 2), (4, 2), (1, 4), (8, 3), (2, None))] == [2, 1, 2, 1, 2, 1]
+    assert network.STAGE_THREADS == network._stage_threads(network.CPUS, network.BLAS_THREADS)
+    # a BLAS without the OpenBLAS symbol: no thread count, a pool of one
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+    assert network._blas_threads() is None

@@ -1,3 +1,4 @@
+import warnings
 import weakref
 
 import numpy as np
@@ -193,6 +194,37 @@ def test_overflowing_snapshot_distances_raise_diverged(method):
     assert exc_info.value.reports == []
 
 
+@pytest.mark.parametrize("method", ["lm", "lm_mining"])
+def test_overflowing_snapshot_distances_warn_nothing(method):
+    # the same run with every warning an error: the snapshot's overflow is
+    # reported by DivergedError alone, not by numpy's RuntimeWarnings first
+    net = EmbeddingNet((8,), mlp(16, 8), seed=0)
+    for p in net.params:
+        p *= 1e80
+    ds = make_blobs(3, 30, 8, 12.0, 1.0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergedError, match="snapshot distances overflow in epoch 0"):
+            train(net, TrainConfig(method=method, e_max=1), ds)
+
+
+def test_overflowing_mean_batch_loss_raises_diverged(monkeypatch):
+    # every batch loss is finite, but their mean overflows: the epoch log
+    # could not hold it as JSON, and the run has diverged
+    grad = training_mod._triplet_grad
+
+    def huge(*args):
+        _, grad_emb, active = grad(*args)
+        return 1.5e308, grad_emb, active
+
+    monkeypatch.setattr(training_mod, "_triplet_grad", huge)
+    net, train_ds, _ = _blob_setup()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergedError, match="non-finite mean batch loss in epoch 0"):
+            train(net, TrainConfig(method="mm", batch_size=64, e_max=1), train_ds)
+
+
 def _one_class_tail_blobs():
     """48 12x12 images in classes of 12, 12 and 24. At batch_size 12,
     mm_hardmin draws 4 samples per class into each of 6 batches, and the
@@ -226,6 +258,18 @@ def test_single_class_dataset_rejected():
     net = EmbeddingNet((3,), mlp(4), seed=0)
     with pytest.raises(ValueError, match="no_negative"):
         train(net, TrainConfig(method="lm", e_max=1), ds)
+
+
+@pytest.mark.parametrize("method", ["lm", "lm_mining", "mm", "mm_hardmin"])
+def test_dataset_without_a_positive_rejected(method):
+    # two classes, but none with a second sample: no anchor has a positive
+    from localtriplet.data import Dataset
+    ds = Dataset(np.random.default_rng(0).standard_normal((2, 3)), np.arange(2), (3,))
+    net = EmbeddingNet((3,), mlp(4), seed=0)
+    with pytest.raises(ValueError, match="no_positive"):
+        train(net, TrainConfig(method=method, k=1, e_max=1), ds)
+    # softmax needs no triplet
+    assert len(train(net, TrainConfig(method="softmax", e_max=1), ds)[1]) == 1
 
 
 def test_bad_method_rejected():
