@@ -452,6 +452,9 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     train_emb = embed_finite(net, train_ds)
     condition = check_optimal_condition(train_emb, train_ds.labels, k,
                                         settings["c_b"], settings["eps"])
+    # finite embeddings can still overflow their distances, as in training
+    if not np.all(np.isfinite(condition.d_ak)):
+        raise DivergedError("diverged: distances of the train split's embeddings overflow")
     write_violations_csv(run / "violations.csv", condition)
     summary = {
         **settings,

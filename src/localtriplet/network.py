@@ -73,6 +73,24 @@ and the leaky ReLU mask z > 0 (the backward reads only z's sign), a pool
 its argmax, a dense layer its input and mask, a flatten nothing; `embed`
 caches nothing. A cached `mnist_cnn` forward holds 580,288 bytes per
 float64 image, 451,584 of them conv2's im2col columns; 313,728 in float32.
+
+Buffer lifetimes. Outside EmbeddingNet.reuse_buffers every whole-batch
+array is allocated by the call that fills it and freed with the last
+reference to it. Inside the scope, which `training.train` holds open for a
+run (and `run_epoch` for its batch loop), the image stage's whole-batch
+arrays (the caches: im2col columns, activation masks, pooling argmax; and
+the backward's activation gradients and segment-boundary gradients) are
+the leading rows of buffers kept per (layer, role) until the scope exits,
+also by an exception: the buffers live for the run, a batch's views of
+them for the batch. For `mnist_cnn` they hold 906,304 bytes per float64
+image (476,672 in float32), sized for the largest batch so far; a larger
+batch drops every buffer before any larger one is allocated. A leading-row
+view is as contiguous as a new array, so each GEMM sees the same operands
+and every bit is kept. A cached forward inside the scope overwrites the
+previous one's caches, so those go stale: caches carry the net's count of
+such forwards, and backward of older ones raises stale_cache. Forwards
+without caches (`embed`) and the stage output, which a dense layer caches
+as its input, are allocated per call in the scope too.
 """
 from __future__ import annotations
 
@@ -81,6 +99,7 @@ import json
 import os
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -213,7 +232,7 @@ class _ImageLayer:
     def backward(self, cache, g: np.ndarray, input_grad: bool = True):
         return _stage_backward([self], [cache], g, input_grad)
 
-    def grad_buffer(self, n: int, dtype):
+    def grad_buffer(self, n: int, dtype, alloc):
         """The whole-batch array backward_tile fills for param_grads."""
         return None
 
@@ -250,16 +269,17 @@ class _Conv2d(_ImageLayer):
     def params(self):
         return [self.w, self.b]
 
-    def new_cache(self, n: int, dtype):
+    def new_cache(self, n: int, dtype, alloc):
         h, w, cin = self.in_shape
-        cols = np.empty((n * h * w, self.f * self.f * cin), dtype=dtype)
+        k = self.f * self.f * cin
+        cols = alloc((self, "cols"), n, (h * w, k), dtype).reshape(n * h * w, k)
         mask = (None if self.spec.activation == "none"
-                else np.empty((n,) + self.out_shape, dtype=np.bool_))
+                else alloc((self, "mask"), n, self.out_shape, np.bool_))
         return cols, mask
 
-    def grad_buffer(self, n: int, dtype):
+    def grad_buffer(self, n: int, dtype, alloc):
         h, w, cout = self.out_shape
-        return np.empty((n * h * w, cout), dtype=dtype)
+        return alloc((self, "g_z"), n, (h * w, cout), dtype).reshape(n * h * w, cout)
 
     def forward_tile(self, x: np.ndarray, cache, lo: int, hi: int):
         # one copy of the (dy, dx, cin)-ordered windows of the padded input,
@@ -314,8 +334,8 @@ class _MaxPool2(_ImageLayer):
                         + np.arange(0, w * c, 2 * c)[:, None] + np.arange(c))
         self._step = np.array([0, c, w * c, w * c + c])
 
-    def new_cache(self, n: int, dtype):
-        return np.empty((n,) + self.out_shape, dtype=np.int8)
+    def new_cache(self, n: int, dtype, alloc):
+        return alloc((self, "argmax"), n, self.out_shape, np.int8)
 
     def forward_tile(self, x: np.ndarray, cache, lo: int, hi: int):
         # the window in row-major order: (0,0), (0,1), (1,0), (1,1)
@@ -453,12 +473,39 @@ def _each(jobs, inline: bool = False) -> None:
         raise errors[0]
 
 
-def _stage_forward(layers, x: np.ndarray, want_cache: bool):
+def _new(key, n: int, shape, dtype) -> np.ndarray:
+    """A new (n, *shape) array: the whole-batch allocator outside
+    EmbeddingNet.reuse_buffers."""
+    return np.empty((n,) + tuple(shape), dtype=dtype)
+
+
+class _Buffers:
+    """The whole-batch allocator inside EmbeddingNet.reuse_buffers: one
+    array per (layer, role) key, with rows for the most images asked for so
+    far; a call returns its leading n images, a contiguous view."""
+
+    def __init__(self):
+        self.images = 0
+        self.arrays: dict = {}
+
+    def __call__(self, key, n: int, shape, dtype) -> np.ndarray:
+        if n > self.images:
+            # every buffer goes before a larger one is allocated
+            self.arrays.clear()
+            self.images = n
+        buf = self.arrays.get(key)
+        if buf is None:
+            buf = self.arrays[key] = np.empty((self.images,) + tuple(shape), dtype=dtype)
+        return buf[:n]
+
+
+def _stage_forward(layers, x: np.ndarray, want_cache: bool, alloc=_new):
     """Run conv/pool layers tile by tile, each tile through all of them
     (tiles on _each's threads); returns the whole batch's output and
-    per-layer caches (None without want_cache)."""
+    per-layer caches (None without want_cache), whose arrays come from
+    alloc."""
     n = x.shape[0]
-    caches = [layer.new_cache(n, x.dtype) if want_cache else None for layer in layers]
+    caches = [layer.new_cache(n, x.dtype, alloc) if want_cache else None for layer in layers]
     out = np.empty((n,) + layers[-1].out_shape, dtype=x.dtype)
 
     def tile(edges):
@@ -472,15 +519,16 @@ def _stage_forward(layers, x: np.ndarray, want_cache: bool):
     return out, caches
 
 
-def _stage_backward(layers, caches, g: np.ndarray, input_grad: bool):
+def _stage_backward(layers, caches, g: np.ndarray, input_grad: bool, alloc=_new):
     """Backward of _stage_forward, segment by segment from the last layer
     (a segment: a parameter layer and the parameter-free layers after it),
     all on _each's threads. A segment's tiles write its whole-batch input
     gradient; its parameter gradients, whole-batch reductions, start once
-    its last tile has finished, alongside the next segment's tiles. Returns
-    (input gradient or None, parameter gradients in layer order)."""
+    its last tile has finished, alongside the next segment's tiles. The
+    activation and boundary gradients come from alloc. Returns (input
+    gradient or None, parameter gradients in layer order)."""
     n = g.shape[0]
-    g_zs = [layer.grad_buffer(n, g.dtype) for layer in layers]
+    g_zs = [layer.grad_buffer(n, g.dtype, alloc) for layer in layers]
     grads = [[] for _ in layers]
     starts = [i for i, layer in enumerate(layers) if i == 0 or layer.params]
     tiles = _tiles(layers, n, g.dtype.itemsize)
@@ -500,7 +548,7 @@ def _stage_backward(layers, caches, g: np.ndarray, input_grad: bool):
     # jobs in the order: last segment's tiles, its parameter gradients, the
     # segment before's tiles (after the last's), ..., the first layer's
     for s, (first, end) in enumerate(reversed(list(zip(starts, starts[1:] + [len(layers)])))):
-        g_out = (np.empty((n,) + layers[first].in_shape, dtype=g.dtype)
+        g_out = (alloc((layers[first], "g_in"), n, layers[first].in_shape, g.dtype)
                  if input_grad or first > 0 else None)
         after = s - 1 if s else None
         jobs += [_Job(partial(tile, first, end, g_out, g, edges), s, after) for edges in tiles]
@@ -561,6 +609,13 @@ class _Dense:
 _LAYER_KINDS = {"conv2d": _Conv2d, "maxpool2": _MaxPool2, "flatten": _Flatten, "dense": _Dense}
 
 
+class _Caches(list):
+    """A cached forward's per-layer caches in layer order; generation
+    numbers the net's cached forwards inside reuse_buffers, None outside."""
+
+    generation: int | None = None
+
+
 class EmbeddingNet:
     """A layer stack with shape chain validated at construction.
 
@@ -595,6 +650,23 @@ class EmbeddingNet:
         self.stage = 0
         while isinstance(self.layers[self.stage], _ImageLayer):
             self.stage += 1
+        self._buffers: _Buffers | None = None   # while reuse_buffers is open
+        self._generation = 0   # cached forwards made inside reuse_buffers
+
+    @contextmanager
+    def reuse_buffers(self):
+        """A scope whose cached forwards and backwards take the image
+        stage's whole-batch arrays from buffers kept until it exits; a
+        cached forward in it makes the previous one's caches stale. Entered
+        again while open, it keeps the open scope's buffers."""
+        if self._buffers is not None:
+            yield
+            return
+        self._buffers = _Buffers()
+        try:
+            yield
+        finally:
+            self._buffers = None
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -623,9 +695,12 @@ class EmbeddingNet:
     def forward(self, x, want_cache: bool = True):
         """Run the stack; returns (embeddings, caches-for-backward)."""
         x = self._check_input(x)
-        caches = []
+        caches, alloc = _Caches(), _new
+        if want_cache and self._buffers is not None:
+            self._generation += 1
+            caches.generation, alloc = self._generation, self._buffers
         if self.stage:
-            x, caches = _stage_forward(self.layers[:self.stage], x, want_cache)
+            x, caches[:] = _stage_forward(self.layers[:self.stage], x, want_cache, alloc)
         for layer in self.layers[self.stage:]:
             x, cache = layer.forward(x, want_cache)
             caches.append(cache)
@@ -635,6 +710,8 @@ class EmbeddingNet:
         """Parameter gradients for a forward pass, aligned with `params`."""
         if caches is None:
             raise ValueError("stale_cache: forward was run without want_cache")
+        if getattr(caches, "generation", None) not in (None, self._generation):
+            raise ValueError("stale_cache: a later forward has reused these caches' buffers")
         g = np.asarray(grad_out, dtype=self.dtype)
         grads: list[np.ndarray] = []
         for i in reversed(range(self.stage, len(self.layers))):
@@ -642,7 +719,9 @@ class EmbeddingNet:
             g, layer_grads = self.layers[i].backward(caches[i], g, input_grad=i > 0)
             grads = layer_grads + grads
         if self.stage:
-            grads = _stage_backward(self.layers[:self.stage], caches[:self.stage], g, False)[1] + grads
+            alloc = _new if self._buffers is None else self._buffers
+            grads = _stage_backward(self.layers[:self.stage], caches[:self.stage], g, False,
+                                    alloc)[1] + grads
         return grads
 
     def embed(self, x) -> np.ndarray:

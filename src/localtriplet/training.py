@@ -162,7 +162,7 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
     Each method only chooses its batches, and one loop runs every batch:
     forward, loss, backward, then the Adam step. The batch's embeddings and
     caches are deleted before the step, so one batch of caches is alive at
-    a time.
+    a time, and the loop runs in net.reuse_buffers.
     """
     clock = time.perf_counter
     t0 = clock()
@@ -207,34 +207,35 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
     batch_losses: list[float] = []
     n_triplets = 0
     n_active = 0
-    for batch in batches:
-        grads = None    # frees the last step's gradients; stays None for a batch without triplets
-        ids, rows = batch, None
-        if batch.ndim == 2:     # a chunk of triplets: its distinct ids, and rows into them
-            ids, rows = np.unique(batch, return_inverse=True)
-            rows = rows.reshape(len(batch), 3)     # its shape differs between numpy versions
-        emb, caches = net.forward(dataset.samples[ids])
-        if method == "mm_hardmin":
-            t1 = clock()
-            # a tail batch may hold anchors without an in-batch positive or negative
-            rows = mine_hard(emb, labels[ids], trainable_anchors(labels[ids]))
-            phases["mine"] += clock() - t1
-        if method == "softmax":
-            value, grad_emb, grads = softmax_head_loss(emb, labels[ids], head)
-        elif rows.size:
-            d_pos = snapshot.d_ak_pos[ids[rows[:, 0]]] if snapshot is not None else None
-            value, grad_emb, active = _triplet_grad(emb, rows, d_pos, config.weights, margin)
-            grads = []
-            n_triplets += len(rows)
-            n_active += active
-        if grads is not None:
-            if not np.isfinite(value):
-                raise DivergedError(f"diverged: non-finite batch loss {value}")
-            grads = net.backward(caches, grad_emb) + grads
-        del emb, caches
-        if grads is not None:
-            adam.step(params, grads)
-            batch_losses.append(value)
+    with net.reuse_buffers():
+        for batch in batches:
+            grads = None    # frees the last step's gradients; stays None for a batch without triplets
+            ids, rows = batch, None
+            if batch.ndim == 2:     # a chunk of triplets: its distinct ids, and rows into them
+                ids, rows = np.unique(batch, return_inverse=True)
+                rows = rows.reshape(len(batch), 3)     # its shape differs between numpy versions
+            emb, caches = net.forward(dataset.samples[ids])
+            if method == "mm_hardmin":
+                t1 = clock()
+                # a tail batch may hold anchors without an in-batch positive or negative
+                rows = mine_hard(emb, labels[ids], trainable_anchors(labels[ids]))
+                phases["mine"] += clock() - t1
+            if method == "softmax":
+                value, grad_emb, grads = softmax_head_loss(emb, labels[ids], head)
+            elif rows.size:
+                d_pos = snapshot.d_ak_pos[ids[rows[:, 0]]] if snapshot is not None else None
+                value, grad_emb, active = _triplet_grad(emb, rows, d_pos, config.weights, margin)
+                grads = []
+                n_triplets += len(rows)
+                n_active += active
+            if grads is not None:
+                if not np.isfinite(value):
+                    raise DivergedError(f"diverged: non-finite batch loss {value}")
+                grads = net.backward(caches, grad_emb) + grads
+            del emb, caches
+            if grads is not None:
+                adam.step(params, grads)
+                batch_losses.append(value)
 
     with np.errstate(over="ignore"):   # finite batch losses whose sum overflows
         mean_loss = float(np.mean(batch_losses)) if batch_losses else 0.0
@@ -288,13 +289,19 @@ def train(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
     end. Divergence (a non-finite batch loss, embedding, or parameter
     after an epoch) raises DivergedError carrying the earlier epochs' reports.
     A triplet method on a training set without an anchor that has both a
-    positive and a negative raises ValueError: it would train nothing.
+    positive and a negative, or mm_hardmin with batches of one sample per
+    class, raises ValueError: it would train nothing. The epochs run in one
+    net.reuse_buffers scope, so its buffers live for the run.
     """
     if config.method != "softmax" and not trainable_anchors(dataset.labels).size:
         if np.unique(dataset.labels).size < 2:
             raise ValueError("no_negative: training needs at least two classes")
         raise ValueError("no_positive: no class holds two samples, so no anchor has a "
                          "positive and no triplet can be formed")
+    if config.method == "mm_hardmin" and config.batch_size <= np.unique(dataset.labels).size:
+        raise ValueError(f"no_positive: mm_hardmin batches of {config.batch_size} samples "
+                         "hold at most one sample of each class, so no anchor has an "
+                         "in-batch positive; use a batch size above the class count")
     head = None
     if config.method == "softmax":
         head = SoftmaxHead(net.out_dim, int(dataset.labels.max()) + 1,
@@ -309,29 +316,31 @@ def train(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
     best_params = None
     prev_loss = None
     reason = "max_epochs"
-    for epoch in range(config.e_max):
-        try:
-            report = run_epoch(net, config, dataset, epoch, rng, adam, head=head)
-            if val is not None and val.n:
-                acc, _, _ = evaluate_knn(net, dataset, val, k)
-                report = replace(report, val_accuracy=acc)
-                if best_val is None or acc > best_val:
-                    best_val = acc
-                    best_params = [p.copy() for p in net.params]
-            # a step that makes a parameter non-finite shows in the next
-            # step's loss or embedding, except the last step of the run
-            if not all(np.all(np.isfinite(p)) for p in params):
-                raise DivergedError(f"diverged: non-finite parameters after epoch {epoch}")
-        except DivergedError as err:
-            err.reports = reports
-            raise
-        reports.append(report)
-        if log_fn is not None:
-            log_fn(report)
-        if prev_loss is not None and abs(report.mean_batch_loss - prev_loss) < config.convergence_eps:
-            reason = "converged"
-            break
-        prev_loss = report.mean_batch_loss
+    with net.reuse_buffers():
+        for epoch in range(config.e_max):
+            try:
+                report = run_epoch(net, config, dataset, epoch, rng, adam, head=head)
+                if val is not None and val.n:
+                    acc, _, _ = evaluate_knn(net, dataset, val, k)
+                    report = replace(report, val_accuracy=acc)
+                    if best_val is None or acc > best_val:
+                        best_val = acc
+                        best_params = [p.copy() for p in net.params]
+                # a step that makes a parameter non-finite shows in the next
+                # step's loss or embedding, except the last step of the run
+                if not all(np.all(np.isfinite(p)) for p in params):
+                    raise DivergedError(f"diverged: non-finite parameters after epoch {epoch}")
+            except DivergedError as err:
+                err.reports = reports
+                raise
+            reports.append(report)
+            if log_fn is not None:
+                log_fn(report)
+            if (prev_loss is not None
+                    and abs(report.mean_batch_loss - prev_loss) < config.convergence_eps):
+                reason = "converged"
+                break
+            prev_loss = report.mean_batch_loss
     if best_params is not None:
         net.set_params(best_params)
     return net, reports, reason

@@ -89,7 +89,10 @@ def check_optimal_condition(embeddings, labels, k: int, c_b: float, eps: float
         min_neg[rows] = np.min(np.where(peer, np.inf, dists), axis=1)
 
     checked = classes.count[classes.of] >= k + 1
-    rhs = max_pos + c_b * d_ak + eps
+    # an infinite (overflowed) d_ak beside no finite positive gives NaN,
+    # which fails every comparison; callers check d_ak for overflow
+    with np.errstate(invalid="ignore"):
+        rhs = max_pos + c_b * d_ak + eps
     violations = [Violation(anchor=int(a), residual=float(rhs[a] - min_neg[a]),
                             d_ak=float(d_ak[a]), max_pos_dist=float(max_pos[a]),
                             min_neg_dist=float(min_neg[a]))

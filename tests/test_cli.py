@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -524,3 +525,36 @@ def test_checkpoint_unknown_activation_exit_3(tmp_path, capsys, finished_run, co
     assert main([command, "--run-dir", str(run)]) == 3
     assert capsys.readouterr().err == (
         f"data error: unreadable run file: {ckpt} (bad_activation: relu)\n")
+
+
+def test_verify_overflowing_distances_exit_4(tmp_path, capsys, finished_run):
+    # the last layer's weights and bias times 1e200 scale every embedding by
+    # 1e200 (leaky ReLU is positively homogeneous): each stays finite and
+    # each squared distance overflows, where no violation and purity 1.0
+    # would be read off NaN comparisons
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    ckpt = run / "checkpoint.npz"
+    with np.load(ckpt) as z:
+        last = {name: z[name] * 1e200
+                for name in sorted(n for n in z.files if n != "meta")[-2:]}
+    _rewrite_npz(ckpt, **last)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--run-dir", str(run)]) == 4
+    assert capsys.readouterr().err == (
+        "numeric failure: diverged: distances of the train split's embeddings overflow\n")
+    assert not (run / "violations.csv").exists()
+    assert not (run / "verify_summary.json").exists()
+
+
+def test_mm_hardmin_batches_of_one_sample_per_class_exit_3(tmp_path, capsys):
+    # --batch-size 4 over 6 classes: one sample of each class per batch, so
+    # no anchor would ever have an in-batch positive
+    out = tmp_path / "r"
+    code = main(["train", "--data", "blobs", "--classes", "6", "--per-class", "10",
+                 "--batch-size", "4", "--epochs", "5", "--method", "mm_hardmin",
+                 "--out-dir", str(out)])
+    assert code == 3
+    assert "no_positive: mm_hardmin batches of 4 samples" in capsys.readouterr().err
+    assert not (out / "epochs.jsonl").exists()

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from localtriplet import network
 from localtriplet.network import (
     Adam,
     EmbeddingNet,
@@ -164,6 +167,66 @@ def test_stale_cache_rejected():
     emb, caches = net.forward(x, want_cache=False)
     with pytest.raises(ValueError, match="stale_cache"):
         net.backward(caches, np.ones((1, 2)))
+
+
+def test_backward_of_caches_a_later_forward_reused_is_stale():
+    rng = np.random.default_rng(5)
+    net = EmbeddingNet((12, 12, 1), mnist_cnn(), seed=0)
+    x = rng.random((6, 12, 12, 1))
+    with net.reuse_buffers():
+        emb, caches = net.forward(x)
+        net.forward(x[:3])
+        with pytest.raises(ValueError, match="stale_cache: a later forward"):
+            net.backward(caches, np.ones_like(emb))
+        # a forward without caches, as embed runs, reuses no buffer
+        emb, caches = net.forward(x)
+        net.embed(x)
+        net.forward(x, want_cache=False)
+        inside = net.backward(caches, np.ones_like(emb))
+    # the last caches of a closed scope stay valid: no later forward reuses them
+    after = net.backward(caches, np.ones_like(emb))
+    emb, caches = net.forward(x)
+    for got, want in zip(inside + after, 2 * net.backward(caches, np.ones_like(emb))):
+        assert np.array_equal(got, want)
+
+
+def test_growing_batches_drop_the_old_buffers_first(monkeypatch):
+    # a batch of 24 images after one of 12 must not hold any 12-image buffer
+    # beside the 24-image ones: its forward and backward peak no higher than
+    # in a scope that starts at 24 images, give or take one tile's
+    # temporaries (tiles of one image, on one thread)
+    monkeypatch.setattr(network, "TILE_BYTES", 1)
+    monkeypatch.setattr(network, "STAGE_THREADS", 1)
+    net = EmbeddingNet((28, 28, 1), mnist_cnn(), seed=0)
+    rng = np.random.default_rng(1)
+    x, g = rng.random((24, 28, 28, 1)), rng.standard_normal((24, 128))
+
+    def peaks(sizes):
+        """Traced peaks of the last batch's forward and backward above the
+        memory traced before the scope, and the bytes the scope holds."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with net.reuse_buffers():
+                for n in sizes:
+                    tracemalloc.reset_peak()
+                    emb, caches = net.forward(x[:n])
+                    forward = tracemalloc.get_traced_memory()[1] - base
+                    tracemalloc.reset_peak()
+                    net.backward(caches, g[:n])
+                    backward = tracemalloc.get_traced_memory()[1] - base
+                    del emb, caches
+                held = sum(a.nbytes for a in net._buffers.arrays.values())
+        finally:
+            tracemalloc.stop()
+        return forward, backward, held
+
+    grown, fresh = peaks([12, 24]), peaks([24])
+    # the module docstring's whole-batch bytes per float64 image
+    assert grown[2] == fresh[2] == 24 * 906_304
+    tile = 2 * 8 * max(layer.image_elements for layer in net.layers[:net.stage])
+    assert grown[0] <= fresh[0] + tile
+    assert grown[1] <= fresh[1] + tile
 
 
 def test_dense_stack_gradients_match_fd():

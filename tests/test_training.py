@@ -5,9 +5,19 @@ import numpy as np
 import pytest
 
 import localtriplet.training as training_mod
+from localtriplet import network
 from localtriplet.data import make_blobs, split
+from localtriplet.knn import build_index, take_snapshot
 from localtriplet.losses import LossWeights
-from localtriplet.network import EmbeddingNet, mlp, mnist_cnn
+from localtriplet.mining import mine_hard, mine_local, trainable_anchors
+from localtriplet.network import (
+    Adam,
+    EmbeddingNet,
+    SoftmaxHead,
+    mlp,
+    mnist_cnn,
+    softmax_head_loss,
+)
 from localtriplet.training import (
     PHASES,
     DivergedError,
@@ -351,3 +361,151 @@ def test_one_batch_of_caches_alive_at_a_time(method, one_class_tail):
     train(net, cfg, ds)
     assert len(alive) > 4
     assert alive == [0] * len(alive)
+
+
+# ------------------------------------------------------------- buffer reuse
+# run_epoch runs its batches inside net.reuse_buffers, where the image
+# stage's whole-batch arrays are leading-row views of buffers kept from batch
+# to batch. The same epoch written out through the public forward, backward
+# and Adam.step, outside the scope, must give the same bits.
+
+def _epoch_outside_the_scope(net, config, ds, rng, adam, head):
+    """run_epoch(net, config, ds, 0, rng, adam, head) for mm_hardmin,
+    lm_mining and softmax, without reuse_buffers: its report's JSON line."""
+    labels, method, snapshot = ds.labels, config.method, None
+    params = net.params + (head.params if head else [])
+    if method == "softmax":
+        batches = [(ids, None) for ids in training_mod._batched(rng.permutation(ds.n),
+                                                                config.batch_size)]
+    elif method == "mm_hardmin":
+        batches = [(ids, None) for ids in
+                   training_mod._hardmin_batches(labels, config.batch_size, rng)]
+    else:
+        k = training_mod.resolve_k(config, ds.n)
+        snapshot = take_snapshot(build_index(net.embed(ds.samples), labels,
+                                             metric="euclidean"), k, 0)
+        anchors = trainable_anchors(labels)
+        anchors = anchors[rng.permutation(anchors.size)]
+        triplets = mine_local(snapshot.neighbor_ids, labels, anchors, rng)
+        batches = []
+        for chunk in training_mod._batched(triplets, config.batch_size):
+            ids, rows = np.unique(chunk, return_inverse=True)
+            batches.append((ids, rows.reshape(-1, 3)))
+    losses, n_triplets, n_active = [], 0, 0
+    for ids, rows in batches:
+        emb, caches = net.forward(ds.samples[ids])
+        if method == "softmax":
+            value, grad_emb, head_grads = softmax_head_loss(emb, labels[ids], head)
+        else:
+            if method == "mm_hardmin":
+                rows = mine_hard(emb, labels[ids], trainable_anchors(labels[ids]))
+            if not rows.size:
+                continue
+            d_pos = snapshot.d_ak_pos[ids[rows[:, 0]]] if snapshot else None
+            value, grad_emb, active = training_mod._triplet_grad(
+                emb, rows, d_pos, config.weights, "local" if snapshot else "fixed")
+            head_grads = []
+            n_triplets += len(rows)
+            n_active += active
+        adam.step(params, net.backward(caches, grad_emb) + head_grads)
+        losses.append(value)
+    return EpochReport(
+        epoch=0, mean_batch_loss=float(np.mean(losses)), n_triplets=n_triplets,
+        hinge_active_fraction=n_active / n_triplets if n_triplets else None,
+        mean_d_ak=snapshot.mean_d_ak() if snapshot else None,
+        max_d_ak=snapshot.max_d_ak() if snapshot else None,
+        mean_d_ak_pos=snapshot.mean_d_ak_pos() if snapshot else None).to_json_line()
+
+
+@pytest.mark.parametrize("pool", [1, 2])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("method", ["mm_hardmin", "lm_mining", "softmax"])
+def test_epoch_in_reused_buffers_matches_one_outside_them(method, dtype, pool, monkeypatch):
+    monkeypatch.setattr(network, "STAGE_THREADS", pool)
+    # tiles of 4 float64 or 8 float32 12x12 images: every batch spans several
+    monkeypatch.setattr(network, "TILE_BYTES", 4 * 8 * 6 * 6 * 288)
+    # 3 classes of 14: mm_hardmin takes 4 per class, so each epoch ends in a
+    # batch of 2 per class
+    ds = make_blobs(3, 14, 144, spacing=0.5, std=0.3, seed=21)
+    config = TrainConfig(method=method, seed=22, lr=1e-3, batch_size=12)
+    results = []
+    for scoped in (True, False):
+        net = EmbeddingNet((12, 12, 1), mnist_cnn(), seed=23, dtype=dtype)
+        head = SoftmaxHead(net.out_dim, 3, seed=24) if method == "softmax" else None
+        params = net.params + (head.params if head else [])
+        adam, rng = Adam(params, lr=config.lr), np.random.default_rng(config.seed)
+        if scoped:
+            forward, seen = net.forward, []     # (batch images, buffer images)
+
+            def tracked(x, want_cache=True):
+                out = forward(x, want_cache)
+                if want_cache:
+                    seen.append((len(x), net._buffers.images))
+                return out
+
+            net.forward = tracked
+            line = training_mod.run_epoch(net, config, ds, 0, rng, adam, head).to_json_line()
+        else:
+            line = _epoch_outside_the_scope(net, config, ds, rng, adam, head)
+        results.append((line, params))
+    (line, params), (want_line, want_params) = results
+    assert line == want_line
+    for got, want in zip(params, want_params, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    batch_images, buffer_images = zip(*seen)
+    assert buffer_images == tuple(np.maximum.accumulate(batch_images))
+    if method == "mm_hardmin":
+        assert batch_images[-1] < batch_images[0]       # the short tail batch
+    if method == "lm_mining":
+        assert len(set(buffer_images)) > 1              # the buffers grew
+
+
+def _buffer_refs(net):
+    """Wrap net.forward and net.backward to collect weak references to the
+    buffers an open reuse_buffers scope holds after each call."""
+    refs = []
+    for name in ("forward", "backward"):
+        def tracked(*args, _call=getattr(net, name), **kwargs):
+            out = _call(*args, **kwargs)
+            if net._buffers is not None:
+                refs.extend(weakref.ref(a) for a in net._buffers.arrays.values())
+            return out
+        setattr(net, name, tracked)
+    return refs
+
+
+@pytest.mark.parametrize("diverge", [False, True], ids=["returns", "diverges"])
+def test_no_buffer_outlives_train(diverge, monkeypatch):
+    if diverge:     # a non-finite loss in the third batch, its caches alive
+        grad, calls = training_mod._triplet_grad, []
+
+        def nan_third(*args):
+            calls.append(1)
+            value, grad_emb, active = grad(*args)
+            return (np.nan if len(calls) == 3 else value), grad_emb, active
+
+        monkeypatch.setattr(training_mod, "_triplet_grad", nan_third)
+    net = EmbeddingNet((12, 12, 1), mnist_cnn(), seed=25)
+    refs = _buffer_refs(net)
+    config = TrainConfig(method="mm_hardmin", e_max=2, convergence_eps=0.0, seed=26,
+                         batch_size=12)
+    raised = False
+    try:
+        train(net, config, make_blobs(3, 12, 144, spacing=0.5, std=0.3, seed=27))
+    except DivergedError:
+        raised = True
+    assert raised == diverge
+    assert net._buffers is None
+    # refcounting alone frees them, no gc pass is run
+    assert refs and all(ref() is None for ref in refs)
+
+
+def test_mm_hardmin_batches_without_a_positive_rejected():
+    # batches of at most one sample per class: no anchor has an in-batch positive
+    net, train_ds, _ = _blob_setup(classes=4, per_class=20)
+    for batch_size in (2, 4):
+        cfg = TrainConfig(method="mm_hardmin", batch_size=batch_size, e_max=3)
+        with pytest.raises(ValueError, match="no_positive: mm_hardmin batches of"):
+            train(net, cfg, train_ds)
+    cfg = TrainConfig(method="mm_hardmin", batch_size=5, e_max=1)
+    assert train(net, cfg, train_ds)[1][0].n_triplets > 0
