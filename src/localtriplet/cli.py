@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .atomic import atomic_open
 from .data import (
+    Classes,
     Dataset,
     load_dataset,
     load_mnist_idx,
@@ -452,8 +453,12 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     train_emb = embed_finite(net, train_ds)
     condition = check_optimal_condition(train_emb, train_ds.labels, k,
                                         settings["c_b"], settings["eps"])
-    # finite embeddings can still overflow their distances, as in training
-    if not np.all(np.isfinite(condition.d_ak)):
+    # finite embeddings can still overflow their distances, as in training:
+    # a d_ak, or every distance from an anchor to the rest of its class (no
+    # finite positive, -inf, where the class has another member)
+    classes = Classes(train_ds.labels)
+    no_positive = (classes.count[classes.of] > 1) & (condition.max_pos == -np.inf)
+    if not np.all(np.isfinite(condition.d_ak)) or np.any(no_positive):
         raise DivergedError("diverged: distances of the train split's embeddings overflow")
     write_violations_csv(run / "violations.csv", condition)
     summary = {

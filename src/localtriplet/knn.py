@@ -242,11 +242,14 @@ class ScreenBlock:
         window. A non-finite estimate, statistic or window keeps the column.
         Overwrites the slab estimates with inf, so it comes last."""
         est, w = self.est, self.window[:, None]
-        for rows, slab in self.runs:
-            at = est[rows, slab]
-            keep[rows, slab] |= ~(at < at.max(axis=1, keepdims=True) - w[rows])
-            at[...] = np.inf
-        keep |= ~(est > np.min(est, axis=1, keepdims=True) + w)
+        # inf - inf (an overflowed statistic and window) is NaN, whose
+        # comparison keeps the column
+        with np.errstate(invalid="ignore"):
+            for rows, slab in self.runs:
+                at = est[rows, slab]
+                keep[rows, slab] |= ~(at < at.max(axis=1, keepdims=True) - w[rows])
+                at[...] = np.inf
+            keep |= ~(est > np.min(est, axis=1, keepdims=True) + w)
         return keep
 
     def point_ids(self, cols):

@@ -40,6 +40,8 @@ class OptimalConditionReport:
     n_checked: int
     # (n,) each anchor's distance to its kth nearest other point
     d_ak: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # (n,) each anchor's largest finite same-class distance, -inf for none
+    max_pos: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def worst_residual(self) -> float:
@@ -99,7 +101,7 @@ def check_optimal_condition(embeddings, labels, k: int, c_b: float, eps: float
                   for a in np.flatnonzero(checked & (min_neg < rhs))]
     return OptimalConditionReport(violations=violations,
                                   skipped_anchors=np.flatnonzero(~checked).tolist(),
-                                  n_checked=int(np.sum(checked)), d_ak=d_ak)
+                                  n_checked=int(np.sum(checked)), d_ak=d_ak, max_pos=max_pos)
 
 
 def _d_ak(x: np.ndarray, k: int) -> np.ndarray:

@@ -9,8 +9,9 @@ import pytest
 
 from localtriplet import network
 from localtriplet.cli import COMMANDS, main
-from localtriplet.data import load_dataset
+from localtriplet.data import Dataset, load_dataset, save_dataset
 from localtriplet.knn import choose_k
+from localtriplet.network import EmbeddingNet, save_checkpoint
 
 
 BLOB_ARGS = ["--data", "blobs", "--classes", "3", "--per-class", "60",
@@ -558,3 +559,24 @@ def test_mm_hardmin_batches_of_one_sample_per_class_exit_3(tmp_path, capsys):
     assert code == 3
     assert "no_positive: mm_hardmin batches of 4 samples" in capsys.readouterr().err
     assert not (out / "epochs.jsonl").exists()
+
+
+def test_verify_overflowing_positive_distances_exit_4(tmp_path, capsys):
+    # each anchor's only positive lies at an overflowing (infinite) distance
+    # while every d_ak (k = 1, the nearest negative) stays finite: without
+    # the check, max_pos reads -inf ("no positive") and no violation is found
+    run = tmp_path / "run"
+    run.mkdir()
+    points = np.array([[0.0, 0.0], [1e155, 1e155], [1.0, 0.0], [1e155 + 1e140, 1e155]])
+    save_dataset(run / "train.npz", Dataset(points, np.array([0, 0, 1, 1]), (2,)))
+    # one dense layer with identity weights: the embedding is the point itself
+    save_checkpoint(run / "checkpoint.npz",
+                    EmbeddingNet((2,), [network.dense(2)], params=[np.eye(2), np.zeros(2)]))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--run-dir", str(run), "--k", "1"]) == 4
+    assert capsys.readouterr().err == (
+        "numeric failure: diverged: distances of the train split's embeddings overflow\n")
+    assert not (run / "violations.csv").exists()
+    assert not (run / "verify_summary.json").exists()

@@ -420,3 +420,33 @@ def test_checkpoint_bad_version(tmp_path):
     np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
     with pytest.raises(ValueError, match="bad_checkpoint"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch, dtype):
+    net = EmbeddingNet((28, 28, 1), mnist_cnn(), seed=21, dtype=dtype)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, net, extra={"epoch": 3})
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a load drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded, extra = load_checkpoint(path)
+    assert loaded.seed == 21 and loaded.dtype == net.dtype and extra == {"epoch": 3}
+    assert [p.dtype for p in loaded.params] == [p.dtype for p in net.params]
+    assert [p.tobytes() for p in loaded.params] == [p.tobytes() for p in net.params]
+    # a loaded-then-resaved checkpoint is the same file
+    again = tmp_path / "again.npz"
+    save_checkpoint(again, loaded, extra=extra)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_net_built_from_params_checks_them():
+    with pytest.raises(ValueError, match="shape_mismatch"):
+        EmbeddingNet((4,), mlp(3), params=[np.zeros((4, 3))])
+    with pytest.raises(ValueError, match="shape_mismatch"):
+        EmbeddingNet((4,), mlp(3), params=[np.zeros((3, 4)), np.zeros(3)])
+    net = EmbeddingNet((4,), mlp(3), seed=7, params=[np.ones((4, 3)), np.full(3, 2.0)])
+    assert net.seed == 7
+    assert np.array_equal(net.embed(np.ones((1, 4))), [[6.0, 6.0, 6.0]])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,19 @@ def test_optimal_condition_k_bounds():
     pts = np.zeros((3, 2))
     with pytest.raises(ValueError, match="k_exceeds_n"):
         check_optimal_condition(pts, [0, 1, 2], k=3, c_b=3.0, eps=1e-3)
+
+
+def test_overflowing_positives_read_as_none_without_a_warning():
+    # each anchor's only positive lies at an overflowing distance, its
+    # nearest negative close by: d_ak (k = 1) stays finite and max_pos is
+    # -inf, "no positive"; the screen's inf - inf keeps its columns quietly
+    pts = np.array([[0.0, 0.0], [1e155, 1e155], [1.0, 0.0], [1e155 + 1e140, 1e155]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_optimal_condition(pts, np.array([0, 0, 1, 1]), 1, 1.0, 0.0)
+    assert np.all(np.isfinite(report.d_ak))
+    assert np.array_equal(report.max_pos, np.full(4, -np.inf))
+    assert report.violations == [] and report.n_checked == 4
 
 
 # ------------------------------------------------------------------- purity
