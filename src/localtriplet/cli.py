@@ -567,15 +567,10 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except DataError as err:
-        print(f"data error: {err}", file=sys.stderr)
-        return 3
-    except DivergedError as err:
-        print(f"numeric failure: {err}", file=sys.stderr)
-        return 4
+    except (ConfigError, DataError, DivergedError) as err:
+        prefix = {2: "config error", 3: "data error", 4: "numeric failure"}[err.exit_code]
+        print(f"{prefix}: {err}", file=sys.stderr)
+        return err.exit_code
 
 
 if __name__ == "__main__":

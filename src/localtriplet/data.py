@@ -261,7 +261,8 @@ def save_dataset(path, dataset: Dataset) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    with np.load(path) as z:
+    # np.load(path) leaks the file it opens when one that starts as a zip is cut short
+    with open(path, "rb") as f, np.load(f) as z:
         meta = json.loads(bytes(z["meta"]).decode())
         if meta.get("cache_format_version") != CACHE_FORMAT_VERSION:
             raise ValueError(f"bad_cache: version {meta.get('cache_format_version')}")

@@ -102,23 +102,23 @@ Per 4-image float64 tile (2 vCPUs, numpy 2.4.6): 28x28x1, 0.06 ms against
 0.09-0.13 ms for the window copy; 14x14x32, the window copy 0.16 ms
 against 0.22-0.26 ms for nine copies.
 
-Buffer lifetimes. Outside EmbeddingNet.reuse_buffers every whole-batch
-array is allocated by the call that fills it and freed with the last
-reference to it. Inside the scope, which `training.train` holds open for a
-run (and `run_epoch` for its batch loop), the image stage's whole-batch
-arrays (the caches: im2col columns, activation masks, pooling argmax; and
-the backward's activation gradients and segment-boundary gradients) are
-the leading rows of buffers kept per (layer, role) until the scope exits,
-also by an exception: the buffers live for the run, a batch's views of
-them for the batch. For `mnist_cnn` they hold 906,304 bytes per float64
-image (476,672 in float32), sized for the largest batch so far; a larger
-batch drops every buffer before any larger one is allocated. A leading-row
-view is as contiguous as a new array, so each GEMM sees the same operands
-and every bit is kept. A cached forward inside the scope overwrites the
-previous one's caches, so those go stale: caches carry the net's count of
-such forwards, and backward of older ones raises stale_cache. Forwards
-without caches (`embed`) and the stage output, which a dense layer caches
-as its input, are allocated per call in the scope too.
+Buffer lifetimes. The image stage's whole-batch arrays (the caches:
+im2col columns, activation masks, pooling argmax; and the backward's
+activation gradients and segment-boundary gradients) are the leading rows
+of buffers the net keeps per (layer, role). For `mnist_cnn` they hold
+906,304 bytes per float64 image (476,672 in float32), sized for the
+largest batch so far; a larger batch drops every buffer before any larger
+one is allocated. A leading-row view is as contiguous as a new array, so
+each GEMM sees the same operands and every bit is kept. A cached forward
+overwrites the previous one's caches, so those go stale: caches carry the
+net's count of cached forwards, and backward of older ones raises
+stale_cache. The net keeps its buffers until EmbeddingNet.release_buffers
+or until it is dropped. `training.train` releases them when it returns or
+raises, so they live for the run and a batch's views of them for the
+batch; a caller that runs cached forwards outside `train` holds them as
+long as the net unless it releases them, the price of not allocating them
+per batch. Forwards without caches (`embed`) and the stage output, which a
+dense layer caches as its input, are allocated per call.
 """
 from __future__ import annotations
 
@@ -127,7 +127,6 @@ import json
 import os
 import threading
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -262,11 +261,11 @@ class _ImageLayer:
     params: list = []
 
     def forward(self, x: np.ndarray, want_cache: bool):
-        y, (cache,) = _stage_forward([self], x, want_cache)
+        y, (cache,) = _stage_forward([self], x, want_cache, _Buffers())
         return y, cache
 
     def backward(self, cache, g: np.ndarray, input_grad: bool = True):
-        return _stage_backward([self], [cache], g, input_grad)
+        return _stage_backward([self], [cache], g, input_grad, _Buffers())
 
     def grad_buffer(self, n: int, dtype, alloc):
         """The whole-batch array backward_tile fills for param_grads."""
@@ -535,16 +534,10 @@ def _each(jobs, inline: bool = False) -> None:
         raise errors[0]
 
 
-def _new(key, n: int, shape, dtype) -> np.ndarray:
-    """A new (n, *shape) array: the whole-batch allocator outside
-    EmbeddingNet.reuse_buffers."""
-    return np.empty((n,) + tuple(shape), dtype=dtype)
-
-
 class _Buffers:
-    """The whole-batch allocator inside EmbeddingNet.reuse_buffers: one
-    array per (layer, role) key, with rows for the most images asked for so
-    far; a call returns its leading n images, a contiguous view."""
+    """The image stage's whole-batch allocator: one array per (layer,
+    role) key, with rows for the most images asked for so far; a call
+    returns its leading n images, a contiguous view."""
 
     def __init__(self):
         self.images = 0
@@ -561,7 +554,7 @@ class _Buffers:
         return buf[:n]
 
 
-def _stage_forward(layers, x: np.ndarray, want_cache: bool, alloc=_new):
+def _stage_forward(layers, x: np.ndarray, want_cache: bool, alloc: _Buffers):
     """Run conv/pool layers tile by tile, each tile through all of them
     (tiles on _each's threads); returns the whole batch's output and
     per-layer caches (None without want_cache), whose arrays come from
@@ -590,7 +583,7 @@ def _stage_forward(layers, x: np.ndarray, want_cache: bool, alloc=_new):
     return out, caches
 
 
-def _stage_backward(layers, caches, g: np.ndarray, input_grad: bool, alloc=_new):
+def _stage_backward(layers, caches, g: np.ndarray, input_grad: bool, alloc: _Buffers):
     """Backward of _stage_forward, segment by segment from the last layer
     (a segment: a parameter layer and the parameter-free layers after it),
     all on _each's threads. A segment's tiles write its whole-batch input
@@ -682,9 +675,9 @@ _LAYER_KINDS = {"conv2d": _Conv2d, "maxpool2": _MaxPool2, "flatten": _Flatten, "
 
 class _Caches(list):
     """A cached forward's per-layer caches in layer order; generation
-    numbers the net's cached forwards inside reuse_buffers, None outside."""
+    numbers the net's cached forwards."""
 
-    generation: int | None = None
+    generation: int
 
 
 class EmbeddingNet:
@@ -724,23 +717,13 @@ class EmbeddingNet:
         self.stage = 0
         while isinstance(self.layers[self.stage], _ImageLayer):
             self.stage += 1
-        self._buffers: _Buffers | None = None   # while reuse_buffers is open
-        self._generation = 0   # cached forwards made inside reuse_buffers
-
-    @contextmanager
-    def reuse_buffers(self):
-        """A scope whose cached forwards and backwards take the image
-        stage's whole-batch arrays from buffers kept until it exits; a
-        cached forward in it makes the previous one's caches stale. Entered
-        again while open, it keeps the open scope's buffers."""
-        if self._buffers is not None:
-            yield
-            return
         self._buffers = _Buffers()
-        try:
-            yield
-        finally:
-            self._buffers = None
+        self._generation = 0   # cached forwards made so far
+
+    def release_buffers(self) -> None:
+        """Drop the image stage's whole-batch buffers, which the net keeps
+        from its first cached forward on; caches still alive keep theirs."""
+        self._buffers = _Buffers()
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -767,14 +750,15 @@ class EmbeddingNet:
         raise ValueError(f"shape_mismatch: batch {x.shape} vs input {self.input_shape}")
 
     def forward(self, x, want_cache: bool = True):
-        """Run the stack; returns (embeddings, caches-for-backward)."""
+        """Run the stack; returns (embeddings, caches-for-backward). A cached
+        forward makes the previous one's caches stale."""
         x = self._check_input(x)
-        caches, alloc = _Caches(), _new
-        if want_cache and self._buffers is not None:
+        caches = _Caches()
+        if want_cache:
             self._generation += 1
-            caches.generation, alloc = self._generation, self._buffers
+            caches.generation = self._generation
         if self.stage:
-            x, caches[:] = _stage_forward(self.layers[:self.stage], x, want_cache, alloc)
+            x, caches[:] = _stage_forward(self.layers[:self.stage], x, want_cache, self._buffers)
         for layer in self.layers[self.stage:]:
             x, cache = layer.forward(x, want_cache)
             caches.append(cache)
@@ -784,8 +768,8 @@ class EmbeddingNet:
         """Parameter gradients for a forward pass, aligned with `params`."""
         if caches is None:
             raise ValueError("stale_cache: forward was run without want_cache")
-        if getattr(caches, "generation", None) not in (None, self._generation):
-            raise ValueError("stale_cache: a later forward has reused these caches' buffers")
+        if caches.generation != self._generation:
+            raise ValueError("stale_cache: a later forward has made these caches stale")
         g = np.asarray(grad_out, dtype=self.dtype)
         grads: list[np.ndarray] = []
         for i in reversed(range(self.stage, len(self.layers))):
@@ -793,9 +777,8 @@ class EmbeddingNet:
             g, layer_grads = self.layers[i].backward(caches[i], g, input_grad=i > 0)
             grads = layer_grads + grads
         if self.stage:
-            alloc = _new if self._buffers is None else self._buffers
             grads = _stage_backward(self.layers[:self.stage], caches[:self.stage], g, False,
-                                    alloc)[1] + grads
+                                    self._buffers)[1] + grads
         return grads
 
     def embed(self, x) -> np.ndarray:
@@ -860,12 +843,11 @@ class Adam:
         for p, g, m, v in zip(params, grads, self.m, self.v):
             if p.shape != g.shape:
                 raise ValueError(f"shape_mismatch: grad {g.shape} for param {p.shape}")
-            if p.size <= STEP_ELEMENTS:
-                self._update(p, g, m, v, c1, c2)
-                continue
             # blocks of leading-axis rows: the two temporaries stay small and
-            # in cache, and take no page faults on the large weights
-            rows = max(1, STEP_ELEMENTS * len(p) // p.size)
+            # in cache, and take no page faults on the large weights; a
+            # parameter of at most STEP_ELEMENTS values is one block
+            p, g, m, v = np.atleast_1d(p, g, m, v)
+            rows = max(1, STEP_ELEMENTS * len(p) // max(p.size, 1))
             for lo in range(0, len(p), rows):
                 s = slice(lo, lo + rows)
                 self._update(p[s], g[s], m[s], v[s], c1, c2)
@@ -874,7 +856,7 @@ class Adam:
         # m += (1 - b1) * g; v += (1 - b2) * g * g;
         # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in that operation order
         m *= self.beta1
-        t = np.multiply(g, 1.0 - self.beta1, out=np.empty_like(g))   # an array also at 0-d
+        t = g * (1.0 - self.beta1)
         m += t
         v *= self.beta2
         np.multiply(g, 1.0 - self.beta2, out=t)
@@ -883,7 +865,7 @@ class Adam:
         np.divide(v, c2, out=t)
         np.sqrt(t, out=t)
         t += self.eps
-        u = np.divide(m, c1, out=np.empty_like(m))
+        u = m / c1
         u *= self.lr
         u /= t
         p -= u
@@ -907,7 +889,8 @@ def save_checkpoint(path, net: EmbeddingNet, extra: dict | None = None) -> None:
 
 def load_checkpoint(path) -> tuple[EmbeddingNet, dict]:
     """Rebuild an EmbeddingNet from a checkpoint; returns (net, extra-meta)."""
-    with np.load(path) as z:
+    # np.load(path) leaks the file it opens when one that starts as a zip is cut short
+    with open(path, "rb") as f, np.load(f) as z:
         meta = json.loads(bytes(z["meta"]).decode())
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"bad_checkpoint: format_version {meta.get('format_version')}")

@@ -39,6 +39,8 @@ class DivergedError(RuntimeError):
     """Raised when a batch loss, embedding or parameter is non-finite; carries
     partial reports."""
 
+    exit_code = 4
+
     def __init__(self, message: str, reports=None):
         super().__init__(message)
         self.reports = list(reports or [])
@@ -162,7 +164,9 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
     Each method only chooses its batches, and one loop runs every batch:
     forward, loss, backward, then the Adam step. The batch's embeddings and
     caches are deleted before the step, so one batch of caches is alive at
-    a time, and the loop runs in net.reuse_buffers.
+    a time; the image stage's whole-batch arrays are views of the net's
+    buffers, kept from batch to batch and, outside `train`, after the epoch
+    (EmbeddingNet.release_buffers drops them).
     """
     clock = time.perf_counter
     t0 = clock()
@@ -207,35 +211,34 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
     batch_losses: list[float] = []
     n_triplets = 0
     n_active = 0
-    with net.reuse_buffers():
-        for batch in batches:
-            grads = None    # frees the last step's gradients; stays None for a batch without triplets
-            ids, rows = batch, None
-            if batch.ndim == 2:     # a chunk of triplets: its distinct ids, and rows into them
-                ids, rows = np.unique(batch, return_inverse=True)
-                rows = rows.reshape(len(batch), 3)     # its shape differs between numpy versions
-            emb, caches = net.forward(dataset.samples[ids])
-            if method == "mm_hardmin":
-                t1 = clock()
-                # a tail batch may hold anchors without an in-batch positive or negative
-                rows = mine_hard(emb, labels[ids], trainable_anchors(labels[ids]))
-                phases["mine"] += clock() - t1
-            if method == "softmax":
-                value, grad_emb, grads = softmax_head_loss(emb, labels[ids], head)
-            elif rows.size:
-                d_pos = snapshot.d_ak_pos[ids[rows[:, 0]]] if snapshot is not None else None
-                value, grad_emb, active = _triplet_grad(emb, rows, d_pos, config.weights, margin)
-                grads = []
-                n_triplets += len(rows)
-                n_active += active
-            if grads is not None:
-                if not np.isfinite(value):
-                    raise DivergedError(f"diverged: non-finite batch loss {value}")
-                grads = net.backward(caches, grad_emb) + grads
-            del emb, caches
-            if grads is not None:
-                adam.step(params, grads)
-                batch_losses.append(value)
+    for batch in batches:
+        grads = None    # frees the last step's gradients; stays None for a batch without triplets
+        ids, rows = batch, None
+        if batch.ndim == 2:     # a chunk of triplets: its distinct ids, and rows into them
+            ids, rows = np.unique(batch, return_inverse=True)
+            rows = rows.reshape(len(batch), 3)     # its shape differs between numpy versions
+        emb, caches = net.forward(dataset.samples[ids])
+        if method == "mm_hardmin":
+            t1 = clock()
+            # a tail batch may hold anchors without an in-batch positive or negative
+            rows = mine_hard(emb, labels[ids], trainable_anchors(labels[ids]))
+            phases["mine"] += clock() - t1
+        if method == "softmax":
+            value, grad_emb, grads = softmax_head_loss(emb, labels[ids], head)
+        elif rows.size:
+            d_pos = snapshot.d_ak_pos[ids[rows[:, 0]]] if snapshot is not None else None
+            value, grad_emb, active = _triplet_grad(emb, rows, d_pos, config.weights, margin)
+            grads = []
+            n_triplets += len(rows)
+            n_active += active
+        if grads is not None:
+            if not np.isfinite(value):
+                raise DivergedError(f"diverged: non-finite batch loss {value}")
+            grads = net.backward(caches, grad_emb) + grads
+        del emb, caches
+        if grads is not None:
+            adam.step(params, grads)
+            batch_losses.append(value)
 
     with np.errstate(over="ignore"):   # finite batch losses whose sum overflows
         mean_loss = float(np.mean(batch_losses)) if batch_losses else 0.0
@@ -290,8 +293,8 @@ def train(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
     after an epoch) raises DivergedError carrying the earlier epochs' reports.
     A triplet method on a training set without an anchor that has both a
     positive and a negative, or mm_hardmin with batches of one sample per
-    class, raises ValueError: it would train nothing. The epochs run in one
-    net.reuse_buffers scope, so its buffers live for the run.
+    class, raises ValueError: it would train nothing. The net's whole-batch
+    buffers live for the run: train releases them when it returns or raises.
     """
     if config.method != "softmax" and not trainable_anchors(dataset.labels).size:
         if np.unique(dataset.labels).size < 2:
@@ -316,7 +319,7 @@ def train(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
     best_params = None
     prev_loss = None
     reason = "max_epochs"
-    with net.reuse_buffers():
+    try:
         for epoch in range(config.e_max):
             try:
                 report = run_epoch(net, config, dataset, epoch, rng, adam, head=head)
@@ -341,6 +344,8 @@ def train(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
                 reason = "converged"
                 break
             prev_loss = report.mean_batch_loss
+    finally:
+        net.release_buffers()
     if best_params is not None:
         net.set_params(best_params)
     return net, reports, reason

@@ -58,7 +58,6 @@ class PurityReport:
     outlier_count: int
     query_status: list[str]          # per query: "pure" | "impure" | "outlier"
     nearest_anchor: np.ndarray       # (n_queries,) anchor id per query
-    violations: OptimalConditionReport | None = field(default=None, compare=False)
 
     @property
     def purity(self) -> float:

@@ -467,6 +467,7 @@ CORRUPT_RUN = {
     "train-garbage": ("train.npz", lambda p: p.write_bytes(b"not a zip " * 50)),
     "test-garbage": ("test.npz", lambda p: p.write_bytes(b"not a zip " * 50)),
     "checkpoint-cut": ("checkpoint.npz", lambda p: p.write_bytes(p.read_bytes()[:300])),
+    "train-cut": ("train.npz", lambda p: p.write_bytes(p.read_bytes()[:300])),
     "checkpoint-empty": ("checkpoint.npz", lambda p: p.write_bytes(b"")),
     "train-no-labels": ("train.npz", lambda p: _rewrite_npz(p, labels=None)),
     "checkpoint-version": ("checkpoint.npz",

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from localtriplet.knn import build_index, take_snapshot
-from localtriplet.mining import Triplet, sample_hard, sample_local, sample_uniform
+from localtriplet.mining import (Triplet, mine_local, mine_uniform, sample_hard, sample_local,
+                                 sample_uniform)
 
 
 # ----------------------------------------------------------------- uniform
@@ -41,12 +42,11 @@ def test_uniform_frequencies_within_3_sigma():
     labels = np.repeat(np.arange(10), 10)   # balanced, 100 points
     anchor = 0
     draws = 100_000
-    p_counts = np.zeros(100)
-    n_counts = np.zeros(100)
-    for _ in range(draws):
-        t = sample_uniform(labels, anchor, rng)
-        p_counts[t.p] += 1
-        n_counts[t.n] += 1
+    # one epoch of the same anchor draws what its anchors draw one by one
+    # (test_integers_array_bounds_equal_sequential_scalar_draws)
+    _, p, n = mine_uniform(labels, np.full(draws, anchor), rng).T
+    p_counts = np.bincount(p, minlength=100)
+    n_counts = np.bincount(n, minlength=100)
     pos = np.flatnonzero((labels == labels[anchor]) & (np.arange(100) != anchor))
     neg = np.flatnonzero(labels != labels[anchor])
     for cands, counts in ((pos, p_counts), (neg, n_counts)):
@@ -108,19 +108,22 @@ def test_local_containment_on_blobs():
     labels = np.repeat([0, 1], 80)
     snap = _snapshot_for(pts, labels, 12)
     draw = np.random.default_rng(6)
-    for _ in range(10_000):
-        a = int(draw.integers(160))
-        hood = snap.neighbor_ids[a]
-        t = sample_local(snap, labels, a, draw)
-        local_negs = hood[labels[hood] != labels[a]]
-        if local_negs.size:
-            assert t.n in set(int(i) for i in local_negs)
-        nonlocal_pos = [i for i in np.flatnonzero(labels == labels[a])
-                        if i != a and i not in set(int(j) for j in hood)]
-        if nonlocal_pos:
-            assert t.p in set(nonlocal_pos)
-        assert labels[t.p] == labels[a] and t.p != a
-        assert labels[t.n] != labels[a]
+    a, p, n = mine_local(snap.neighbor_ids, labels, draw.integers(160, size=10_000), draw).T
+    row = np.arange(a.size)
+    hood = snap.neighbor_ids[a]
+    # per anchor row, over all 160 ids: its local negatives, and its class
+    # members outside the neighborhood other than itself
+    local_neg = np.zeros((a.size, 160), dtype=bool)
+    local_neg[row[:, None], hood] = labels[hood] != labels[a][:, None]
+    nonlocal_pos = labels == labels[a][:, None]
+    nonlocal_pos[row[:, None], hood] = False
+    nonlocal_pos[row, a] = False
+    has_neg, has_pos = local_neg.any(axis=1), nonlocal_pos.any(axis=1)
+    assert has_neg.any() and has_pos.all()
+    assert np.all(local_neg[row, n][has_neg])
+    assert np.all(nonlocal_pos[row, p][has_pos])
+    assert np.all(labels[p] == labels[a]) and np.all(p != a)
+    assert np.all(labels[n] != labels[a])
 
 
 def test_local_positive_fallback_when_all_positives_local():

@@ -173,27 +173,34 @@ def test_backward_of_caches_a_later_forward_reused_is_stale():
     rng = np.random.default_rng(5)
     net = EmbeddingNet((12, 12, 1), mnist_cnn(), seed=0)
     x = rng.random((6, 12, 12, 1))
-    with net.reuse_buffers():
-        emb, caches = net.forward(x)
-        net.forward(x[:3])
-        with pytest.raises(ValueError, match="stale_cache: a later forward"):
-            net.backward(caches, np.ones_like(emb))
-        # a forward without caches, as embed runs, reuses no buffer
-        emb, caches = net.forward(x)
-        net.embed(x)
-        net.forward(x, want_cache=False)
-        inside = net.backward(caches, np.ones_like(emb))
-    # the last caches of a closed scope stay valid: no later forward reuses them
-    after = net.backward(caches, np.ones_like(emb))
     emb, caches = net.forward(x)
-    for got, want in zip(inside + after, 2 * net.backward(caches, np.ones_like(emb))):
+    net.forward(x[:3])
+    with pytest.raises(ValueError, match="stale_cache: a later forward"):
+        net.backward(caches, np.ones_like(emb))
+    # a forward without caches, as embed runs, reuses no buffer
+    emb, caches = net.forward(x)
+    net.embed(x)
+    net.forward(x, want_cache=False)
+    kept = net.backward(caches, np.ones_like(emb))
+    # released buffers stay with the latest caches, which stay valid
+    net.release_buffers()
+    assert not net._buffers.arrays
+    released = net.backward(caches, np.ones_like(emb))
+    emb, caches = net.forward(x)
+    for got, want in zip(kept + released, 2 * net.backward(caches, np.ones_like(emb))):
         assert np.array_equal(got, want)
+    # the rule holds for a net without an image stage too
+    net = EmbeddingNet((3,), mlp(2), seed=0)
+    emb, caches = net.forward(x[:, 0, :3, 0])
+    net.forward(x[:, 0, :3, 0])
+    with pytest.raises(ValueError, match="stale_cache: a later forward"):
+        net.backward(caches, np.ones_like(emb))
 
 
 def test_growing_batches_drop_the_old_buffers_first(monkeypatch):
     # a batch of 24 images after one of 12 must not hold any 12-image buffer
     # beside the 24-image ones: its forward and backward peak no higher than
-    # in a scope that starts at 24 images, give or take one tile's
+    # in a net whose buffers start at 24 images, give or take one tile's
     # temporaries (tiles of one image, on one thread)
     monkeypatch.setattr(network, "TILE_BYTES", 1)
     monkeypatch.setattr(network, "STAGE_THREADS", 1)
@@ -203,20 +210,20 @@ def test_growing_batches_drop_the_old_buffers_first(monkeypatch):
 
     def peaks(sizes):
         """Traced peaks of the last batch's forward and backward above the
-        memory traced before the scope, and the bytes the scope holds."""
+        memory traced with the buffers released, and the bytes the net holds."""
+        net.release_buffers()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            with net.reuse_buffers():
-                for n in sizes:
-                    tracemalloc.reset_peak()
-                    emb, caches = net.forward(x[:n])
-                    forward = tracemalloc.get_traced_memory()[1] - base
-                    tracemalloc.reset_peak()
-                    net.backward(caches, g[:n])
-                    backward = tracemalloc.get_traced_memory()[1] - base
-                    del emb, caches
-                held = sum(a.nbytes for a in net._buffers.arrays.values())
+            for n in sizes:
+                tracemalloc.reset_peak()
+                emb, caches = net.forward(x[:n])
+                forward = tracemalloc.get_traced_memory()[1] - base
+                tracemalloc.reset_peak()
+                net.backward(caches, g[:n])
+                backward = tracemalloc.get_traced_memory()[1] - base
+                del emb, caches
+            held = sum(a.nbytes for a in net._buffers.arrays.values())
         finally:
             tracemalloc.stop()
         return forward, backward, held

@@ -364,14 +364,16 @@ def test_one_batch_of_caches_alive_at_a_time(method, one_class_tail):
 
 
 # ------------------------------------------------------------- buffer reuse
-# run_epoch runs its batches inside net.reuse_buffers, where the image
-# stage's whole-batch arrays are leading-row views of buffers kept from batch
-# to batch. The same epoch written out through the public forward, backward
-# and Adam.step, outside the scope, must give the same bits.
+# In run_epoch the image stage's whole-batch arrays are leading-row views of
+# the net's buffers, kept from batch to batch. The same epoch written out
+# through the public forward, backward and Adam.step, with the buffers
+# released before every batch so that each batch's arrays are new, must give
+# the same bits.
 
-def _epoch_outside_the_scope(net, config, ds, rng, adam, head):
+def _epoch_in_new_arrays(net, config, ds, rng, adam, head):
     """run_epoch(net, config, ds, 0, rng, adam, head) for mm_hardmin,
-    lm_mining and softmax, without reuse_buffers: its report's JSON line."""
+    lm_mining and softmax, releasing the net's buffers before every batch:
+    its report's JSON line."""
     labels, method, snapshot = ds.labels, config.method, None
     params = net.params + (head.params if head else [])
     if method == "softmax":
@@ -393,6 +395,7 @@ def _epoch_outside_the_scope(net, config, ds, rng, adam, head):
             batches.append((ids, rows.reshape(-1, 3)))
     losses, n_triplets, n_active = [], 0, 0
     for ids, rows in batches:
+        net.release_buffers()
         emb, caches = net.forward(ds.samples[ids])
         if method == "softmax":
             value, grad_emb, head_grads = softmax_head_loss(emb, labels[ids], head)
@@ -429,12 +432,12 @@ def test_epoch_in_reused_buffers_matches_one_outside_them(method, dtype, pool, m
     ds = make_blobs(3, 14, 144, spacing=0.5, std=0.3, seed=21)
     config = TrainConfig(method=method, seed=22, lr=1e-3, batch_size=12)
     results = []
-    for scoped in (True, False):
+    for reused in (True, False):
         net = EmbeddingNet((12, 12, 1), mnist_cnn(), seed=23, dtype=dtype)
         head = SoftmaxHead(net.out_dim, 3, seed=24) if method == "softmax" else None
         params = net.params + (head.params if head else [])
         adam, rng = Adam(params, lr=config.lr), np.random.default_rng(config.seed)
-        if scoped:
+        if reused:
             forward, seen = net.forward, []     # (batch images, buffer images)
 
             def tracked(x, want_cache=True):
@@ -446,7 +449,7 @@ def test_epoch_in_reused_buffers_matches_one_outside_them(method, dtype, pool, m
             net.forward = tracked
             line = training_mod.run_epoch(net, config, ds, 0, rng, adam, head).to_json_line()
         else:
-            line = _epoch_outside_the_scope(net, config, ds, rng, adam, head)
+            line = _epoch_in_new_arrays(net, config, ds, rng, adam, head)
         results.append((line, params))
     (line, params), (want_line, want_params) = results
     assert line == want_line
@@ -462,13 +465,12 @@ def test_epoch_in_reused_buffers_matches_one_outside_them(method, dtype, pool, m
 
 def _buffer_refs(net):
     """Wrap net.forward and net.backward to collect weak references to the
-    buffers an open reuse_buffers scope holds after each call."""
+    buffers the net holds after each call."""
     refs = []
     for name in ("forward", "backward"):
         def tracked(*args, _call=getattr(net, name), **kwargs):
             out = _call(*args, **kwargs)
-            if net._buffers is not None:
-                refs.extend(weakref.ref(a) for a in net._buffers.arrays.values())
+            refs.extend(weakref.ref(a) for a in net._buffers.arrays.values())
             return out
         setattr(net, name, tracked)
     return refs
@@ -495,7 +497,7 @@ def test_no_buffer_outlives_train(diverge, monkeypatch):
     except DivergedError:
         raised = True
     assert raised == diverge
-    assert net._buffers is None
+    assert not net._buffers.arrays
     # refcounting alone frees them, no gc pass is run
     assert refs and all(ref() is None for ref in refs)
 
