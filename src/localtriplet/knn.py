@@ -406,18 +406,22 @@ def query_knn(
     return [(int(i), float(d)) for i, d in zip(ids[0], dists[0])]
 
 
-def knn_classify(index: NeighborIndex, q, k: int):
-    """Predict by neighbor vote.
+def majority_vote(votes):
+    """Each row's majority class: votes is (m, k) class positions, nearest
+    first. Returns (winning position per row, (m, max + 1) vote counts); a
+    tie goes to the class of the nearest neighbor among the tied classes."""
+    counts = np.sum(votes[:, :, None] == np.arange(votes.max() + 1), axis=1)
+    tied = np.take_along_axis(counts, votes, axis=1) == counts.max(axis=1, keepdims=True)
+    return votes[np.arange(votes.shape[0]), np.argmax(tied, axis=1)], counts
 
-    Returns (predicted class, posterior map). Posteriors are exact
-    fractions count/k so they always sum to 1; argmax ties go to the
-    class of the nearest neighbor among the tied classes.
-    """
-    votes = [int(index.labels[i]) for i, _ in query_knn(index, q, k)]
-    counts = {c: votes.count(c) for c in votes}    # keys nearest first
-    best = max(counts.values())
-    pred = next(c for c, m in counts.items() if m == best)
-    return pred, {c: Fraction(m, k) for c, m in counts.items()}
+
+def knn_classify(index: NeighborIndex, q, k: int):
+    """Predict by majority_vote of q's k nearest points: returns (class,
+    posterior map of exact fractions count/k, which sum to 1)."""
+    labels = index.labels[[i for i, _ in query_knn(index, q, k)]]
+    classes, votes = np.unique(labels, return_inverse=True)
+    (won,), (counts,) = majority_vote(votes[None, :])
+    return int(classes[won]), {int(c): Fraction(int(counts[v]), k) for c, v in zip(labels, votes)}
 
 
 @dataclass(frozen=True)

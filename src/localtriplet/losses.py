@@ -80,28 +80,20 @@ def _check_triplet_dims(xa, xp, xn):
     return xa, xp, xn
 
 
-def _hinge_triplet(xa, xp, xn, margin: float) -> TripletLossResult:
-    diff_p = xa - xp
-    diff_n = xa - xn
-    d_ap = float(np.sum(diff_p * diff_p))
-    d_an = float(np.sum(diff_n * diff_n))
-    arg = d_ap - d_an + margin
-    if arg > 0.0:
-        return TripletLossResult(
-            value=arg,
-            grad_a=2.0 * (diff_p - diff_n),
-            grad_p=-2.0 * diff_p,
-            grad_n=2.0 * diff_n,
-            active=True,
-        )
-    zero = np.zeros_like(xa)
-    return TripletLossResult(0.0, zero, zero.copy(), zero.copy(), False)
+# one triplet's batch loss with unit hinge weight and no moment terms
+_HINGE_ONLY = LossWeights(w_lm=1.0, w_ms=0.0, w_md=0.0, w_ss=0.0, w_sd=0.0)
+
+
+def _one_hinge(xa, xp, xn, margin: float) -> TripletLossResult:
+    value, *grads, _, active = _batch_loss(
+        *(x.reshape(1, -1) for x in (xa, xp, xn)), np.array([margin]), _HINGE_ONLY)
+    return TripletLossResult(value, *(g.reshape(xa.shape) for g in grads), bool(active[0]))
 
 
 def fixed_margin_loss(xa, xp, xn, m: float) -> TripletLossResult:
     """max(0, D_ap - D_an + m) on squared distances, constant margin m."""
     xa, xp, xn = _check_triplet_dims(xa, xp, xn)
-    return _hinge_triplet(xa, xp, xn, float(m))
+    return _one_hinge(xa, xp, xn, float(m))
 
 
 def local_margin_loss(
@@ -115,7 +107,7 @@ def local_margin_loss(
     xa, xp, xn = _check_triplet_dims(xa, xp, xn)
     if d_ak_pos < 0.0 or not np.isfinite(d_ak_pos):
         raise ValueError(f"negative_d_ak_pos: {d_ak_pos}")
-    return _hinge_triplet(xa, xp, xn, float(c_b) * float(d_ak_pos) + float(eps))
+    return _one_hinge(xa, xp, xn, float(c_b) * float(d_ak_pos) + float(eps))
 
 
 def combined_loss(
@@ -153,7 +145,12 @@ def combined_loss(
         margins = np.full(b, weights.fixed_margin_m)
     else:
         raise ValueError(f"bad_margin_kind: {margin}")
+    return _batch_loss(xa, xp, xn, margins, weights)
 
+
+def _batch_loss(xa, xp, xn, margins, w: LossWeights):
+    """combined_loss of validated (b, d) triplets with explicit margins."""
+    b = xa.shape[0]
     diff_p = xa - xp
     diff_n = xa - xn
     d_ap = np.sum(diff_p * diff_p, axis=1)
@@ -167,7 +164,6 @@ def combined_loss(
     mu_d, var_d = mean_and_var(d_an)
     stats = BatchStats(mu_s=mu_s, mu_d=mu_d, var_s=var_s, var_d=var_d)
 
-    w = weights
     value = (
         w.w_lm * hinge_sum
         + w.w_ms * mu_s

@@ -289,6 +289,8 @@ class _Conv2d(_ImageLayer):
             raise ValueError(f"shape_mismatch: conv in_channels {spec.in_channels} != {cin}")
         if not spec.out_channels or spec.out_channels < 1:
             raise ValueError("shape_mismatch: conv2d needs out_channels >= 1")
+        if cin < 1:
+            raise ValueError(f"shape_mismatch: conv2d needs a fan-in >= 1, got input {in_shape}")
         cout = spec.out_channels
         self.spec = spec
         self.f = f
@@ -648,6 +650,8 @@ class _Dense:
             raise ValueError(f"shape_mismatch: dense in_dim {spec.in_dim} != {d_in}")
         if not spec.out_dim or spec.out_dim < 1:
             raise ValueError("shape_mismatch: dense needs out_dim >= 1")
+        if d_in < 1:
+            raise ValueError(f"shape_mismatch: dense needs a fan-in >= 1, got input {in_shape}")
         self.spec = spec
         self.in_shape = in_shape
         self.out_shape = (spec.out_dim,)

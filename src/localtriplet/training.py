@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .data import Classes, Dataset, shuffled_members
-from .knn import build_index, choose_k, take_snapshot, topk
+from .knn import build_index, choose_k, majority_vote, take_snapshot, topk
 from .losses import LossWeights, combined_loss
 from .mining import mine_hard, mine_local, mine_uniform, trainable_anchors
 from .network import Adam, EmbeddingNet, SoftmaxHead, softmax_head_loss
@@ -265,15 +265,12 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
 def evaluate_knn(net: EmbeddingNet, train: Dataset, queries: Dataset, k: int):
     """KNN accuracy of the embedding: returns (accuracy, predictions, confusion).
 
-    Each query takes the majority class of its k nearest training points;
-    a tie goes to the class of the nearest neighbor among the tied classes.
+    Each query takes the majority_vote of its k nearest training points.
     """
     ids, _ = topk(embed_finite(net, queries), embed_finite(net, train), k)
     classes = np.unique(np.concatenate([train.labels, queries.labels]))
     votes = np.searchsorted(classes, train.labels)[ids]      # (m, k) class positions
-    counts = np.sum(votes[:, :, None] == np.arange(classes.size), axis=1)
-    tied = np.take_along_axis(counts, votes, axis=1) == counts.max(axis=1, keepdims=True)
-    pred_pos = votes[np.arange(queries.n), np.argmax(tied, axis=1)]
+    pred_pos, _ = majority_vote(votes)
     preds = classes[pred_pos]
     confusion = np.zeros((classes.size, classes.size), dtype=np.int64)
     np.add.at(confusion, (np.searchsorted(classes, queries.labels), pred_pos), 1)

@@ -145,7 +145,10 @@ def corollary_margin_check(embeddings, labels, k: int, m: float
     margin implies full neighborhood purity for non-outlier queries.
     Returns (sufficient, max_a d_ak).
     """
-    max_d_ak = float(np.max(_d_ak(as_sample_matrix(embeddings), k)))
+    x = as_sample_matrix(embeddings)
+    if np.shape(labels) != (x.shape[0],):
+        raise ValueError(f"label_mismatch: {x.shape[0]} points vs {np.shape(labels)} labels")
+    max_d_ak = float(np.max(_d_ak(x, k)))
     return m > 3.0 * max_d_ak, max_d_ak
 
 

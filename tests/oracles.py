@@ -74,6 +74,21 @@ def brute_classify(points, labels, q, k):
     raise AssertionError("unreachable")
 
 
+def hinge_triplet(xa, xp, xn, margin):
+    """One triplet's hinge max(0, D_ap - D_an + margin) on squared
+    distances, with the library's pinned distance arithmetic; returns
+    (value, grad_a, grad_p, grad_n, active), zero gradients when inactive."""
+    diff_p = xa - xp
+    diff_n = xa - xn
+    d_ap = float(np.sum(diff_p * diff_p))
+    d_an = float(np.sum(diff_n * diff_n))
+    arg = d_ap - d_an + margin
+    if arg > 0.0:
+        return arg, 2.0 * (diff_p - diff_n), -2.0 * diff_p, 2.0 * diff_n, True
+    zero = np.zeros_like(xa)
+    return 0.0, zero, zero.copy(), zero.copy(), False
+
+
 def fd_gradient(f, x, h=1e-5):
     """Central finite differences of a scalar function of a flat array."""
     x = np.asarray(x, dtype=np.float64)

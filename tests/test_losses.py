@@ -7,7 +7,7 @@ from localtriplet.losses import (
     fixed_margin_loss,
     local_margin_loss,
 )
-from oracles import fd_gradient, rel_err
+from oracles import fd_gradient, hinge_triplet, rel_err
 
 
 def _random_triplet(rng, dim=6, scale=2.0):
@@ -198,6 +198,42 @@ def test_combined_requires_d_ak_pos_for_local():
     x = np.zeros((2, 3))
     with pytest.raises(ValueError, match="missing_d_ak_pos"):
         combined_loss(x, x, x, w, margin="local")
+
+
+# ------------------------------------------- per-triplet hinges vs oracle
+
+def test_per_triplet_hinges_match_the_scalar_hinge():
+    # the per-triplet losses are one-triplet calls of the batch loss; the
+    # oracle is the stand-alone hinge. Copied points give zero distances,
+    # and equal distances with a zero margin put the hinge on its kink,
+    # next to plainly active and inactive hinges.
+    rng = np.random.default_rng(110)
+    seen = {"active": 0, "inactive": 0, "zero_distance": 0, "kink": 0}
+    for _ in range(3000):
+        dim = int(rng.integers(1, 12))
+        xa, xp, xn = (np.round(rng.standard_normal(dim) * 2.0, 1) for _ in range(3))
+        if rng.random() < 0.2:
+            xp = xa.copy()
+        if rng.random() < 0.2:
+            xn = xa.copy()
+        if rng.random() < 0.2:
+            xn = xp.copy()
+        if rng.random() < 0.5:
+            m = float(np.round(rng.uniform(0.0, 8.0), 1)) if rng.random() < 0.5 else 0.0
+            seen["kink"] += m == 0.0 and np.array_equal(xp, xn)
+            res, ref = fixed_margin_loss(xa, xp, xn, m), hinge_triplet(xa, xp, xn, m)
+        else:
+            d_pos, c_b, eps = float(rng.uniform(0.0, 2.0)), 3.0, 1e-3
+            res = local_margin_loss(xa, xp, xn, d_pos, c_b, eps)
+            ref = hinge_triplet(xa, xp, xn, c_b * d_pos + eps)
+        value, grad_a, grad_p, grad_n, active = ref
+        assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
+        assert res.active is active
+        for got, want in zip((res.grad_a, res.grad_p, res.grad_n), (grad_a, grad_p, grad_n)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        seen["active" if active else "inactive"] += 1
+        seen["zero_distance"] += not (np.any(xp != xa) and np.any(xn != xa))
+    assert min(seen.values()) > 50, seen
 
 
 # --------------------------------------------------------------- invariants

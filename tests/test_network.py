@@ -125,6 +125,10 @@ def test_shape_chain_rejected_at_construction():
         EmbeddingNet((8, 8, 1), [conv2d(4, filter_size=2)], seed=0)  # even filter
     with pytest.raises(ValueError, match="shape_mismatch"):
         EmbeddingNet((8, 8, 1), [conv2d(4)], seed=0)     # ends non-flat
+    with pytest.raises(ValueError, match="shape_mismatch"):
+        EmbeddingNet((0,), mlp(2), seed=0)               # dense with zero fan-in
+    with pytest.raises(ValueError, match="shape_mismatch"):
+        EmbeddingNet((4, 4, 0), [conv2d(2), flatten()], seed=0)  # conv, zero fan-in
 
 
 def test_unknown_activation_rejected_when_built():

@@ -6,14 +6,15 @@ import pytest
 
 import localtriplet.training as training_mod
 from localtriplet import network
-from localtriplet.data import make_blobs, split
-from localtriplet.knn import build_index, take_snapshot
+from localtriplet.data import Dataset, make_blobs, split
+from localtriplet.knn import build_index, take_snapshot, topk
 from localtriplet.losses import LossWeights
 from localtriplet.mining import mine_hard, mine_local, trainable_anchors
 from localtriplet.network import (
     Adam,
     EmbeddingNet,
     SoftmaxHead,
+    dense,
     mlp,
     mnist_cnn,
     softmax_head_loss,
@@ -26,6 +27,7 @@ from localtriplet.training import (
     evaluate_knn,
     train,
 )
+from oracles import brute_classify
 
 
 def _blob_setup(classes=2, per_class=150, dim=6, spacing=0.6, std=0.06,
@@ -304,6 +306,37 @@ def test_evaluate_knn_on_separable_blobs():
     assert acc == 1.0
     assert int(confusion.sum()) == test_ds.n
     assert np.array_equal(preds, test_ds.labels)
+
+
+def test_evaluate_knn_vote_matches_the_oracle_under_ties():
+    # points on a 0.1 grid tie distances and, with even k, class votes; an
+    # identity dense layer hands them to the vote unchanged. Class 7 occurs
+    # only among the queries, so it has a confusion row but no votes.
+    rng = np.random.default_rng(21)
+    classes = np.array([0, 3, 5, 7])
+    train_ds = Dataset(np.round(rng.uniform(0, 1, (60, 2)), 1),
+                       rng.choice(classes[:3], 60), (2,))
+    queries = Dataset(np.round(rng.uniform(0, 1, (80, 2)), 1),
+                      rng.choice(classes, 80), (2,), split="test")
+    net = EmbeddingNet((2,), [dense(2, activation="none")],
+                       params=[np.eye(2), np.zeros(2)])
+    assert np.array_equal(net.embed(queries.samples), queries.samples)
+    ties = 0
+    for k in (1, 2, 4, 5, 6, 9):
+        acc, preds, confusion = evaluate_knn(net, train_ds, queries, k)
+        want = np.array([brute_classify(train_ds.samples, train_ds.labels, q, k)
+                         for q in queries.samples])
+        assert np.array_equal(preds, want)
+        expected = np.zeros((4, 4), dtype=np.int64)
+        np.add.at(expected, (np.searchsorted(classes, queries.labels),
+                             np.searchsorted(classes, want)), 1)
+        assert np.array_equal(confusion, expected)
+        assert acc == np.mean(want == queries.labels)
+        for q in queries.samples:
+            ids, _ = topk(q[None, :], train_ds.samples, k)
+            _, votes = np.unique(train_ds.labels[ids[0]], return_counts=True)
+            ties += np.count_nonzero(votes == votes.max()) > 1
+    assert ties > 50
 
 
 def test_epoch_report_json_line_excludes_wall_time():

@@ -156,6 +156,13 @@ def test_corollary_zero_margin_insufficient():
     assert max_d_ak > 0.0
 
 
+def test_corollary_rejects_labels_of_another_length():
+    pts, labels = _tight_clusters(np.random.default_rng(4), per_class=4)
+    for bad in (labels[:3], labels.reshape(3, 4), np.int64(0)):
+        with pytest.raises(ValueError, match="label_mismatch"):
+            corollary_margin_check(pts, bad, k=2, m=1.0)
+
+
 # --------------------------------------------------------------------- pca
 
 def test_pca_line_explains_everything():
