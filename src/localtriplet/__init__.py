@@ -26,7 +26,7 @@ from .losses import (
     fixed_margin_loss,
     local_margin_loss,
 )
-from .mathops import euclid_dist, mean_and_var, sq_dist
+from .mathops import mean_and_var
 from .mining import Triplet, sample_hard, sample_local, sample_uniform
 from .network import (
     Adam,

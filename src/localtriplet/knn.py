@@ -16,9 +16,9 @@ with GPUs*, arXiv 1702.08734, with the re-rank added):
    E_i + B_i and every column that can rank at or before it has
    e <= E_i + 2*B_i. An estimate, statistic or bound that is not finite
    keeps every column it touches.
-3. Candidates are recomputed with the pinned diff-square-sum arithmetic,
-   np.sum(d * d) over d = query - point, so each distance is bit-identical
-   to ``mathops.sq_dist``, and ranked in ascending (distance, id) order.
+3. Candidates are recomputed with the pinned diff-square-sum arithmetic of
+   ``_pinned``, np.sum(d * d) over d = query - point, and ranked in
+   ascending (distance, id) order.
 
 The results equal an exhaustive sorted scan for every n, ties included.
 
@@ -299,8 +299,8 @@ def _entries(keep):
 
 
 def _pinned(q, p, qi, pj, metric: str) -> np.ndarray:
-    """Distances of the pairs (q[qi], p[pj]): np.sum(d * d) over
-    d = query - point as in mathops.sq_dist, square-rooted for the
+    """Distances of the pairs (q[qi], p[pj]): the pinned arithmetic
+    np.sum(d * d) over d = query - point, square-rooted for the
     euclidean metric, gathered at most BLOCK_ELEMENTS / 2 floats at a time
     (gathers of twice that size took up to 2.4x longer per distance)."""
     out = np.empty(qi.size)
@@ -363,7 +363,7 @@ def topk(queries, points, k: int, exclude=None, metric: str = "euclidean"):
     exclude, if given, is one point id per query row left out of that
     row's candidates. Returns (ids, dists), both (m, k), each row in
     ascending (distance, id) order; dists are in the given metric, each
-    bit-identical to mathops.sq_dist (square-rooted for euclidean).
+    the pinned np.sum(d * d) of _pinned (square-rooted for euclidean).
 
     Per block of query rows, one GEMM screens the points: only those whose
     Gram estimate is within 2*B_i of the row's kth smallest estimate are

@@ -2,9 +2,9 @@
 
 Everything here works on float64 numpy arrays and is pure: no learning
 logic, no hidden state. Squared distances are an elementwise difference,
-square, and sum, so single-pair, row-wise, pairwise and the distances that
-knn's kernel returns are bit-identical (each reduces a contiguous run of
-the same values). The Gram form |a|^2 + |b|^2 - 2 a.b is faster but not
+square, and sum, so row-wise, pairwise and the distances that knn's
+kernel returns are bit-identical (each reduces a contiguous run of the
+same values). The Gram form |a|^2 + |b|^2 - 2 a.b is faster but not
 bit-identical; knn uses it only to choose which pairs to recompute.
 """
 from __future__ import annotations
@@ -22,26 +22,12 @@ def as_sample_matrix(values) -> np.ndarray:
     return m
 
 
-def sq_dist(a, b) -> float:
-    """Squared Euclidean distance sum_i (a_i - b_i)^2."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"dim_mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.sum(d * d))
-
-
-def euclid_dist(a, b) -> float:
-    """Euclidean distance; satisfies the triangle inequality."""
-    return float(np.sqrt(sq_dist(a, b)))
-
-
 def sq_dists_rowwise(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared distances from every row of `points` to `q`.
 
-    Row i is bit-identical to sq_dist(points[i], q): the reduction runs
-    over the same contiguous buffer with the same pairwise summation.
+    Row i is bit-identical to np.sum(d * d) over d = points[i] - q, knn's
+    pinned arithmetic: the reduction runs over the same contiguous values
+    with the same pairwise summation.
     """
     points = np.asarray(points, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -67,11 +53,11 @@ def pairwise_sq_dists_gram(points: np.ndarray) -> np.ndarray:
     """(n, n) squared distances via the Gram matrix.
 
     Faster than the exact path for large n but subject to cancellation
-    noise around zero; results are clamped at 0. Not bit-identical to
-    sq_dist. knn.screen computes the same form blockwise on mean-centred
-    points, only to pick candidates within a rounding bound of each
-    order statistic, and recomputes those with the exact arithmetic; no
-    neighbor result comes from this function.
+    noise around zero; results are clamped at 0. Not bit-identical to the
+    exact arithmetic. knn.screen computes the same form blockwise on
+    mean-centred points, only to pick candidates within a rounding bound of
+    each order statistic, and recomputes those with the exact arithmetic;
+    no neighbor result comes from this function.
     """
     points = as_sample_matrix(points)
     sq_norms = np.sum(points * points, axis=1)

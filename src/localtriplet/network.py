@@ -26,8 +26,8 @@ independently, so every output keeps its bits:
   batch, and per-tile sums would reorder their additions: the tiles fill
   whole-batch caches (`cols`, the activation mask, the pooling argmax) and
   a whole-batch activation gradient, reduced by one GEMM over the batch.
-The split is exact for the `mnist_cnn` shapes (OpenBLAS, one and two
-threads). It need not be where a BLAS switches kernels at a size
+The split is exact for the `mnist_cnn` shapes (OpenBLAS on one
+thread). It need not be where a BLAS switches kernels at a size
 threshold: with OpenBLAS 0.3.31, a float64 conv of 4 output channels over
 27 inputs changes its last bits as its GEMM crosses the small-matrix
 threshold, for a tile as for a smaller whole batch.
@@ -56,9 +56,12 @@ n x 14 x 14 x 32 values.
 The stage's forward and backward jobs (tiles, and then weight gradients
 in the backward) run on STAGE_THREADS threads: the caller and a pool of
 helper threads, started by the first stage of more than one tile, pull
-them from one list. STAGE_THREADS is the usable CPUs divided by numpy's
-BLAS threads, so that the stage threads' GEMMs do not oversubscribe the
-cores, and 1 where the BLAS does not report its thread count. Only
+them from one list. Importing this module sets numpy's OpenBLAS to one
+thread for the process, so the pool is the one source of parallelism:
+STAGE_THREADS is the usable CPUs, and 1 where numpy's BLAS has no OpenBLAS
+thread setter and may run threads of its own. Every GEMM then runs on one
+BLAS thread whatever the core count or OPENBLAS_NUM_THREADS, and a run's
+bits follow from its inputs alone. Only
 forward_tile, pooled_tile, backward_tile and param_grads run on a helper;
 the net's and the layers' forward/backward and Adam stay on the calling
 thread. The bits do not depend on the pool size or on which thread runs
@@ -144,28 +147,25 @@ STEP_ELEMENTS = 1 << 14   # Adam updates larger parameters in row blocks of abou
 EMBED_ROWS = 512       # embed runs the stack on chunks of this many samples
 
 
-def _blas_threads() -> int | None:
-    """The thread count of numpy's bundled OpenBLAS, or None where numpy's
-    BLAS has no scipy_openblas_get_num_threads64_ (another BLAS or build)."""
+def _pin_blas() -> int | None:
+    """Set numpy's bundled OpenBLAS to one thread for the process and return
+    1, or None where numpy's BLAS has no scipy_openblas_set_num_threads64_
+    (another BLAS or build), whose thread count is then left as it is."""
     try:
         from numpy.linalg import _umath_linalg   # an extension linked to numpy's BLAS
-        get = ctypes.CDLL(_umath_linalg.__file__).scipy_openblas_get_num_threads64_
-        get.argtypes, get.restype = [], ctypes.c_int
-        return get()
+        set_threads = ctypes.CDLL(_umath_linalg.__file__).scipy_openblas_set_num_threads64_
     except (ImportError, OSError, AttributeError):
         return None
-
-
-def _stage_threads(cpus: int, blas_threads: int | None) -> int:
-    """As many stage threads as the usable CPUs hold BLAS thread teams, at
-    least one; one where the BLAS thread count is unknown."""
-    return max(1, cpus // blas_threads) if blas_threads else 1
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+    return 1
 
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-BLAS_THREADS = _blas_threads()
-# threads that run an image stage's jobs, the caller's included
-STAGE_THREADS = _stage_threads(CPUS, BLAS_THREADS)
+BLAS_THREADS = _pin_blas()
+# threads that run an image stage's jobs, the caller's included; one where
+# the BLAS may run threads of its own
+STAGE_THREADS = CPUS if BLAS_THREADS else 1
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ parameter gradient is one whole-batch GEMM, so every result must keep its
 bytes at any pool size; a failing job must surface in the caller with no
 job left running or started after it, and a run without a multi-tile
 stage must start no thread."""
-import ctypes
 import sys
 import threading
 import time
@@ -402,12 +401,3 @@ def test_weight_grad_keeps_the_bits_of_x_transposed_times_g(x_cols, g_cols, rows
     got = network._weight_grad(x, g)
     assert got.dtype == x.dtype and got.flags.c_contiguous
     assert np.array_equal(got, x.T @ g)
-
-
-def test_stage_pool_size_follows_blas_threads(monkeypatch):
-    assert [network._stage_threads(cpus, blas) for cpus, blas in
-            ((2, 1), (2, 2), (4, 2), (1, 4), (8, 3), (2, None))] == [2, 1, 2, 1, 2, 1]
-    assert network.STAGE_THREADS == network._stage_threads(network.CPUS, network.BLAS_THREADS)
-    # a BLAS without the OpenBLAS symbol: no thread count, a pool of one
-    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
-    assert network._blas_threads() is None
