@@ -6,7 +6,10 @@ each command takes, as flags and as keys of a ``key = value`` config file
 (the long flag names, dashes or underscores). A value comes from its flag,
 else the config file, else (eval and verify) the run's manifest.json
 config, else the built-in default. Exit codes: 0 ok, 2 configuration
-error, 3 data error, 4 numeric failure.
+error, 3 data error, 4 numeric failure. main builds only the named
+command's parser: each argparse flag costs a help formatter and a
+terminal-size query, and all six commands' flags took a fifth of eval's
+time on an 800-point run.
 
 Run artifacts live under ``runs/<timestamp>-<name>/`` (override the root
 with LOCALTRIPLET_RUNS_DIR or the directory with --out-dir): a manifest,
@@ -17,12 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
 import time
-import urllib.error
-import urllib.request
 import zipfile
 from pathlib import Path
 from typing import NamedTuple
@@ -187,7 +189,9 @@ def _trained_options(run: Path) -> dict:
 def _resolve(ns: argparse.Namespace, run: Path | None = None):
     """Each option of ns.command from its flag, else the --config file, else
     (given a run directory) the run's manifest.json config, else its default.
-    Returns ({name: value}, {name: "flag" | "config" | "manifest" | "default"})."""
+    Returns ({name: value}, {name: "flag" | "config" | "manifest" | "default"});
+    ConfigError for a float option that is not finite, since no run can hold it
+    (every one ends up in a strict-JSON manifest or summary)."""
     names = COMMANDS[ns.command][1]
     flags = vars(ns)
     keys = set(names) - {"config"}     # a config file names no further config file
@@ -200,6 +204,9 @@ def _resolve(ns: argparse.Namespace, run: Path | None = None):
         values[name], sources[name] = next(
             ((layer[name], source) for source, layer in layers if layer.get(name) is not None),
             (OPTIONS[name].default, "default"))
+        if isinstance(values[name], float) and not math.isfinite(values[name]):
+            raise ConfigError(f"bad_float: {name}={values[name]} from {sources[name]} "
+                              "must be finite")
     return values, sources
 
 
@@ -519,6 +526,7 @@ def cmd_export_scatter(ns: argparse.Namespace) -> int:
 
 
 def cmd_fetch_mnist(ns: argparse.Namespace) -> int:
+    import urllib.request    # here, so that no other command imports http, email and ssl
     dest = Path(ns.dest)
     dest.mkdir(parents=True, exist_ok=True)
     for kind, (name, expected_size) in MNIST_FILES.items():
@@ -531,7 +539,7 @@ def cmd_fetch_mnist(ns: argparse.Namespace) -> int:
         try:
             with urllib.request.urlopen(url, timeout=60) as resp:
                 payload = resp.read()
-        except (urllib.error.URLError, OSError) as err:
+        except OSError as err:    # urllib.error.URLError among them
             raise DataError(f"download failed for {url}: {err}") from err
         if len(payload) != expected_size:
             raise DataError(f"size mismatch for {name}.gz: "
@@ -541,30 +549,37 @@ def cmd_fetch_mnist(ns: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; given the name of a command, one that holds only that
+    command's subparser, whose help, usage, errors and Namespace are the same."""
     parser = argparse.ArgumentParser(
         prog="localtriplet",
         description="Train and verify neighborhood-margin triplet embeddings.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = [*COMMANDS, "fetch-mnist"]
+    # the full parser's choices in the usage line of any error it prints
+    metavar = "{" + ",".join(commands) + "}" if only in commands else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    for command, (help_text, names) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        for name in names:
-            opt = OPTIONS[name]
-            p.add_argument("--" + name.replace("_", "-"), type=opt.type, choices=opt.choices,
-                           required=opt.required, default=argparse.SUPPRESS, help=opt.help)
+    for command in [only] if metavar else commands:
+        if command == "fetch-mnist":
+            p = sub.add_parser(command, help="download the IDX files (needs network)")
+            p.add_argument("--dest", default="data/mnist")
+        else:
+            help_text, names = COMMANDS[command]
+            p = sub.add_parser(command, help=help_text)
+            for name in names:
+                opt = OPTIONS[name]
+                p.add_argument("--" + name.replace("_", "-"), type=opt.type,
+                               choices=opt.choices, required=opt.required,
+                               default=argparse.SUPPRESS, help=opt.help)
         # looked up on each call, so that a wrapped cmd_* is the one run
         p.set_defaults(func=globals()["cmd_" + command.replace("-", "_")])
-
-    p_fetch = sub.add_parser("fetch-mnist", help="download the IDX files (needs network)")
-    p_fetch.add_argument("--dest", default="data/mnist")
-    p_fetch.set_defaults(func=cmd_fetch_mnist)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return ns.func(ns)
     except (ConfigError, DataError, DivergedError) as err:

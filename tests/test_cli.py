@@ -1,12 +1,17 @@
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from localtriplet import network
+import localtriplet
+from localtriplet import cli, network
 from localtriplet.cli import COMMANDS, main
 from localtriplet.data import Dataset, load_dataset, save_dataset
 from localtriplet.knn import choose_k
@@ -309,6 +314,94 @@ def test_fetch_mnist_offline_exit_3(tmp_path, capsys):
     assert "download failed" in capsys.readouterr().err
 
 
+# one argv per command that sets some of its flags
+PARSED = {
+    "train": ["train", "--method", "mm", "--epochs", "3", "--lr", "0.01", "--arch", "mlp:4",
+              "--config", "run.cfg"],
+    "eval": ["eval", "--run-dir", "r", "--k", "5"],
+    "verify": ["verify", "--run-dir", "r", "--c-b", "2.5", "--eps", "0.01"],
+    "compare": ["compare", "--data", "mnist", "--train-dir", "d", "--subset", "40"],
+    "export-scatter": ["export-scatter", "--run-dir", "r", "--which", "train"],
+    "fetch-mnist": ["fetch-mnist", "--dest", "d"],
+}
+
+
+def _parse(parser, argv, capsys):
+    """(exit code or None, stdout, stderr, Namespace or None) of parsing argv."""
+    capsys.readouterr()
+    try:
+        ns, code = parser.parse_args(argv), None
+    except SystemExit as exit_:
+        ns, code = None, exit_.code
+    return (code, *capsys.readouterr(), ns)
+
+
+@pytest.mark.parametrize("command", [*COMMANDS, "fetch-mnist"])
+def test_one_command_parser_matches_the_full_parser(command, capsys):
+    one, full = cli.build_parser(command), cli.build_parser()
+    # help; a parse; errors of the top-level parser (unrecognized arguments)
+    # and of the subparser (a flag without its value)
+    for argv in ([command, "--help"], PARSED[command], [*PARSED[command], "--no-such-flag"],
+                 [*PARSED[command], "extra"], PARSED[command][:2]):
+        assert _parse(one, argv, capsys) == _parse(full, argv, capsys)
+    code, out, _err, _ns = _parse(one, [command, "--help"], capsys)
+    assert code == 0 and out.startswith("usage: localtriplet " + command)
+    code, _out, err, _ns = _parse(one, PARSED[command][:2], capsys)
+    assert code == 2 and err.startswith("usage: localtriplet " + command)
+
+
+@pytest.mark.parametrize("command", [*COMMANDS, "fetch-mnist"])
+def test_main_builds_only_the_named_commands_parser(command, monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *args: built.append(build(*args)) or built[-1])
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == _parse(build(), [command, "--help"], capsys)[1]
+    [parser] = built
+    for other in PARSED:
+        if other != command:
+            assert _parse(parser, PARSED[other], capsys)[0] == 2
+
+
+USAGE = ("usage: localtriplet [-h]\n"
+         "                    {train,eval,verify,compare,export-scatter,fetch-mnist} ...\n")
+
+
+@pytest.mark.parametrize("argv, code", [([], 2), (["--help"], 0), (["-h"], 0),
+                                        (["no-such-command"], 2), (["--k", "3"], 2)])
+def test_top_level_help_and_errors_name_every_command(argv, code, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exit_.value.code == code
+    assert (out or err).startswith(USAGE)
+    if code == 0:
+        assert out == cli.build_parser().format_help()
+        for command, (help_text, _names) in COMMANDS.items():
+            assert f"    {command:20s}{help_text}\n" in out
+        assert "    fetch-mnist         download the IDX files (needs network)\n" in out
+    elif not argv:
+        assert err == USAGE + "localtriplet: error: the following arguments are required: command\n"
+    elif argv[0] == "no-such-command":
+        assert "error: argument command: invalid choice: 'no-such-command'" in err
+        assert all(command in err for command in PARSED)
+
+
+def test_import_leaves_urllib_request_out():
+    # only fetch-mnist needs urllib.request, which imports http, email and ssl
+    src = str(Path(localtriplet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, localtriplet.cli; print('urllib.request' in sys.modules)"],
+        check=True, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=120)
+    assert out.stdout == "False\n"
+
+
 def test_blobs_packing_failure_exit_3(tmp_path, capsys):
     code = main(["train", "--data", "blobs", "--classes", "50", "--per-class", "2",
                  "--dim", "1", "--spacing", "10", "--std", "0.1",
@@ -371,6 +464,12 @@ BAD_INPUT = {
     "verify-k": lambda t: ["verify", "--run-dir", str(_train_run(t)), "--k", "120"],
     "eval-manifest-k": lambda t: ["eval", "--run-dir", _run_with_manifest_k(t, 120)],
     "verify-manifest-k": lambda t: ["verify", "--run-dir", _run_with_manifest_k(t, 500)],
+    # a non-finite float option can give no run: each ends up in strict JSON
+    "train-nan": lambda t: ["train", *SMALL_ARGS, "--convergence-eps", "nan"],
+    "train-inf": lambda t: ["train", "--method", "mm", *SMALL_ARGS, "--margin-m", "inf"],
+    "verify-nan": lambda t: ["verify", "--run-dir", str(_train_run(t)), "--c-b", "nan"],
+    "verify-config-nan": lambda t: ["verify", "--run-dir", str(_train_run(t)),
+                                    "--config", _write(t / "c", "eps = nan")],
 }
 
 
@@ -382,6 +481,15 @@ def test_bad_input_exit_2(tmp_path, capsys, case):
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_non_finite_option_leaves_the_run_as_it_was(tmp_path, capsys):
+    out = _train_run(tmp_path)
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    assert main(["verify", "--run-dir", str(out), "--c-b", "nan"]) == 2
+    assert capsys.readouterr().err == "config error: bad_float: c_b=nan from flag must be finite\n"
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_k_range_upper_bound_accepted(tmp_path, capsys):
