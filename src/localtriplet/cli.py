@@ -36,6 +36,7 @@ from .atomic import atomic_open
 from .data import (
     Classes,
     Dataset,
+    check_blob_config,
     load_dataset,
     load_mnist_idx,
     make_blobs,
@@ -258,10 +259,14 @@ def _load_data(opts: dict):
         except ValueError as err:
             raise ConfigError(str(err)) from err
         return train_ds, val_ds, test
+    blobs = [opts[name] for name in ("classes", "per_class", "dim", "spacing", "std")]
     try:
-        full = make_blobs(opts["classes"], opts["per_class"], opts["dim"],
-                          opts["spacing"], opts["std"], seed)
+        check_blob_config(*blobs)
     except ValueError as err:
+        raise ConfigError(str(err)) from err
+    try:
+        full = make_blobs(*blobs, seed)
+    except ValueError as err:     # packing_failed
         raise DataError(str(err)) from err
     test_frac = opts["test_fraction"]
     train_frac = 1.0 - test_frac - val_frac
@@ -454,6 +459,12 @@ def _scatter_xy(emb: np.ndarray) -> np.ndarray:
 
 def cmd_verify(ns: argparse.Namespace) -> int:
     opts, sources = _resolve(ns, Path(ns.run_dir))
+    # the c_b and eps that train refuses, refused before the run is loaded
+    for name in ("c_b", "eps"):
+        try:
+            LossWeights(**{name: opts[name]})
+        except ValueError as err:
+            raise ConfigError(f"{err} ({name} from {sources[name]})") from err
     net, train_ds, queries, run = _load_run(opts["run_dir"])
     k = _check_k(opts["k"], train_ds.n)
     settings = {"k": k, "c_b": opts["c_b"], "eps": opts["eps"]}

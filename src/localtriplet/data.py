@@ -216,6 +216,17 @@ def stratified_subset(dataset: Dataset, n: int, seed: int) -> Dataset:
     return dataset.subset(ids)
 
 
+def check_blob_config(classes: int, per_class: int, dim: int, spacing: float,
+                      std: float) -> None:
+    """ValueError naming the first make_blobs setting out of its range."""
+    for name, value, low in (("classes", classes, 2), ("per_class", per_class, 1),
+                             ("dim", dim, 1), ("std", std, 0)):
+        if value < low:
+            raise ValueError(f"bad_{name}: {name}={value} must be >= {low}")
+    if spacing <= 0:
+        raise ValueError(f"bad_spacing: spacing={spacing} must be > 0")
+
+
 def make_blobs(classes: int, per_class: int, dim: int, spacing: float,
                std: float, seed: int, max_tries: int = 200) -> Dataset:
     """Isotropic Gaussian clusters with pairwise center distance >= spacing.
@@ -224,10 +235,7 @@ def make_blobs(classes: int, per_class: int, dim: int, spacing: float,
     rejected until far enough apart; impossible packings raise after
     `max_tries` draws per center.
     """
-    if classes < 2:
-        raise ValueError(f"bad_classes: need >= 2, got {classes}")
-    if per_class < 1 or dim < 1 or spacing <= 0 or std < 0:
-        raise ValueError("bad_blob_config")
+    check_blob_config(classes, per_class, dim, spacing, std)
     rng = np.random.default_rng(seed)
     side = spacing * classes
     centers = []

@@ -65,24 +65,27 @@ D = |q_i - p_j|^2 <= 2*S_i (1 + 2u) in real arithmetic. Without overflow:
 * centring moves each coordinate of a_i - b_j off q_i - p_j by at most
   u (|a_il| + |b_jl|), so |a_i - b_j|^2 is within 2u (|a_i| + |b_j|)^2
   <= 4u S_i of D;
-* the Gram estimate fl(fl(na_i - 2 g_ij) + nb_j): the computed norms are
-  within gamma_dim of |a_i|^2 and |b_j|^2, a GEMM dot product in any
-  summation order (blocked, threaded or fused) within gamma_dim *
-  sum_l |a_il b_jl| <= gamma_dim S_i / 2, and each of the two additions
-  errs by at most 2u S_i: (2 dim + 4) u S_i in all;
+* the Gram estimate, the GEMM's dot product of [-2 a_i | na_i | 1] and
+  [b_j | 1 | nb_j]: the computed norms na_i and nb_j are within
+  gamma_dim |a_i|^2 and gamma_dim |b_j|^2 of |a_i|^2 and |b_j|^2, together
+  within dim u S_i, and its dim + 2 terms, summed in any order (blocked,
+  threaded or fused), err by at most gamma_(dim+2) times the sum of their
+  magnitudes, 2 sum_l |a_il b_jl| + na_i + nb_j <= (2 + gamma_dim) S_i:
+  (3 dim + 4) u S_i in all;
 * the euclidean ranking compares fl(sqrt(s)), and fl(sqrt(x)) = fl(sqrt(y))
   with x <= y needs y <= x (1 + u)^2 / (1 - u)^2 <= x + 10u S_i, so a
   column that sqrt merges into a tie at the kth value stays a candidate.
 
-That is (4 dim + 22) u S_i. B_i = 8 (dim + 6) u (S_i + tiny) doubles it,
-which covers the second-order terms, the computed S_i and the rounding of
-E_i + 2*B_i; the smallest normal number ``tiny`` covers underflow, since a
-subnormal result errs by at most u * tiny. A row with S_i >= 2^1020, where
-a sum of squares could overflow (or a non-finite S_i), gets B_i = inf and
-keeps every column.
+That is (5 dim + 22) u S_i. B_i = 8 (dim + 6) u (S_i + tiny) is at least
+1.6 times it, and the (3 dim + 26) u S_i to spare covers the second-order
+terms, the computed S_i and the rounding of E_i + 2*B_i; the smallest
+normal number ``tiny`` covers underflow, since a subnormal result errs by
+at most u * tiny. A row with S_i >= 2^1020, where a sum of squares could
+overflow (or a non-finite S_i), gets B_i = inf and keeps every column.
 
-The GEMM takes -2 a_i, an exact power-of-two scaling of its terms, so
-that the estimate needs no separate scaling pass.
+The norms ride in the GEMM's operands, so that its output is the finished
+estimate with no broadcast pass after it; -2 a_i is an exact power-of-two
+scaling, and the terms na_i * 1 and 1 * nb_j are exact products.
 
 A block holds BLOCK_ELEMENTS query rows x points of estimates, and the
 exact recomputation gathers at most half that many floats at a time.
@@ -166,7 +169,8 @@ class ScreenBlock:
     """Query rows lo:hi of a screen.
 
     est[r, j] is the Gram estimate of the squared distance from query
-    lo + r to point j, within window[r] / 2 of its pinned value (see the
+    lo + r to point j, as the screen's one GEMM wrote it (the norms are in
+    its operands), within window[r] / 2 of its pinned value (see the
     module docstring). own, if given, is every query row's own column (the
     own-column rule): the block sets its estimate to -inf, and candidates
     drops it. With a ClassLayout, rows and columns are in its order, row r's
@@ -332,15 +336,15 @@ def screen(q: np.ndarray, p: np.ndarray, own=None, layout: ClassLayout | None = 
         scale = na + np.max(nb)
         # 2 * B_i
         window = np.where(scale < 2.0 ** 1020, 16 * (dim + 6) * _U * (scale + _TINY), np.inf)
-        a = -2.0 * a        # exact: a power-of-two scaling of the GEMM's terms
+        # [-2a | na | 1] @ [b | 1 | nb].T is the finished estimate
+        a = np.column_stack((-2.0 * a, na, np.ones(m)))
+        b = np.vstack((b.T, np.ones(n), nb))
     rows = max(1, BLOCK_ELEMENTS // n)
     buf = np.empty((min(rows, m), n))
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
         with np.errstate(**quiet):
-            est = np.matmul(a[lo:hi], b.T, out=buf[:hi - lo])
-            est += na[lo:hi, None]
-            est += nb
+            est = np.matmul(a[lo:hi], b, out=buf[:hi - lo])
         yield ScreenBlock(q, p, lo, est, window[lo:hi], own, layout)
 
 

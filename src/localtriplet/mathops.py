@@ -55,7 +55,8 @@ def pairwise_sq_dists_gram(points: np.ndarray) -> np.ndarray:
     Faster than the exact path for large n but subject to cancellation
     noise around zero; results are clamped at 0. Not bit-identical to the
     exact arithmetic. knn.screen computes the same form blockwise on
-    mean-centred points, only to pick candidates within a rounding bound of
+    mean-centred points, as one GEMM of [-2a | |a|^2 | 1] by
+    [b | 1 | |b|^2].T, only to pick candidates within a rounding bound of
     each order statistic, and recomputes those with the exact arithmetic;
     no neighbor result comes from this function.
     """

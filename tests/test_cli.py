@@ -433,10 +433,10 @@ def _idx_dir(root, n_train=20, n_test=8):
     return str(root)
 
 
-def _run_with_manifest_k(tmp_path, k):
+def _run_with_manifest(tmp_path, **config):
     out = _train_run(tmp_path)
     manifest = json.loads((out / "manifest.json").read_text())
-    manifest["config"]["k"] = k
+    manifest["config"].update(config)
     (out / "manifest.json").write_text(json.dumps(manifest))
     return str(out)
 
@@ -462,14 +462,30 @@ BAD_INPUT = {
     "eval-k": lambda t: ["eval", "--run-dir", str(_train_run(t)), "--k", "120"],
     "eval-k0": lambda t: ["eval", "--run-dir", str(_train_run(t)), "--k", "0"],
     "verify-k": lambda t: ["verify", "--run-dir", str(_train_run(t)), "--k", "120"],
-    "eval-manifest-k": lambda t: ["eval", "--run-dir", _run_with_manifest_k(t, 120)],
-    "verify-manifest-k": lambda t: ["verify", "--run-dir", _run_with_manifest_k(t, 500)],
+    "eval-manifest-k": lambda t: ["eval", "--run-dir", _run_with_manifest(t, k=120)],
+    "verify-manifest-k": lambda t: ["verify", "--run-dir", _run_with_manifest(t, k=500)],
     # a non-finite float option can give no run: each ends up in strict JSON
     "train-nan": lambda t: ["train", *SMALL_ARGS, "--convergence-eps", "nan"],
     "train-inf": lambda t: ["train", "--method", "mm", *SMALL_ARGS, "--margin-m", "inf"],
     "verify-nan": lambda t: ["verify", "--run-dir", str(_train_run(t)), "--c-b", "nan"],
     "verify-config-nan": lambda t: ["verify", "--run-dir", str(_train_run(t)),
                                     "--config", _write(t / "c", "eps = nan")],
+    # the c_b and eps that train refuses, from a flag, a config file or the manifest
+    "verify-c-b": lambda t: ["verify", "--run-dir", str(_train_run(t)), "--c-b", "1"],
+    "verify-eps": lambda t: ["verify", "--run-dir", str(_train_run(t)), "--eps", "0"],
+    "verify-config-c-b": lambda t: ["verify", "--run-dir", str(_train_run(t)),
+                                    "--config", _write(t / "c", "c_b = 2.5")],
+    "verify-config-eps": lambda t: ["verify", "--run-dir", str(_train_run(t)),
+                                    "--config", _write(t / "c", "eps = -0.001")],
+    "verify-manifest-c-b": lambda t: ["verify", "--run-dir", _run_with_manifest(t, c_b=0.5)],
+    "verify-manifest-eps": lambda t: ["verify", "--run-dir", _run_with_manifest(t, eps=0.0)],
+    # blob settings out of range
+    "blobs-std": lambda t: ["train", *SMALL_ARGS, "--std", "-1"],
+    "blobs-per-class": lambda t: ["train", *SMALL_ARGS, "--per-class", "0"],
+    "blobs-dim": lambda t: ["train", *SMALL_ARGS, "--dim", "0"],
+    "blobs-spacing": lambda t: ["train", *SMALL_ARGS, "--spacing", "0"],
+    "blobs-classes": lambda t: ["train", *SMALL_ARGS, "--classes", "1"],
+    "blobs-config-std": lambda t: ["train", *SMALL_ARGS, "--config", _write(t / "c", "std = -1")],
 }
 
 
@@ -490,6 +506,34 @@ def test_non_finite_option_leaves_the_run_as_it_was(tmp_path, capsys):
     assert main(["verify", "--run-dir", str(out), "--c-b", "nan"]) == 2
     assert capsys.readouterr().err == "config error: bad_float: c_b=nan from flag must be finite\n"
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv, source, message", [
+    (["--c-b", "1"], "flag", "c_b_too_small: 1.0 < 3 (c_b from flag)"),
+    (["--eps", "0"], "flag", "bad_eps: 0.0 must be > 0 (eps from flag)"),
+    ([], "manifest", "c_b_too_small: 2.0 < 3 (c_b from manifest)"),
+])
+def test_refused_loss_constant_leaves_the_run_as_it_was(tmp_path, capsys, argv, source, message):
+    out = Path(_run_with_manifest(tmp_path, c_b=2.0) if source == "manifest"
+               else _train_run(tmp_path))
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    assert main(["verify", "--run-dir", str(out), *argv]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--std=-1", "bad_std: std=-1.0 must be >= 0"),
+    ("--per-class=0", "bad_per_class: per_class=0 must be >= 1"),
+    ("--dim=0", "bad_dim: dim=0 must be >= 1"),
+    ("--spacing=0", "bad_spacing: spacing=0.0 must be > 0"),
+    ("--classes=1", "bad_classes: classes=1 must be >= 2"),
+])
+def test_blob_setting_out_of_range_names_the_option(tmp_path, capsys, flag, message):
+    capsys.readouterr()
+    assert main(["train", *SMALL_ARGS, flag, "--out-dir", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_k_range_upper_bound_accepted(tmp_path, capsys):

@@ -5,15 +5,20 @@ purity_check, mine_hard) must match the full pinned-arithmetic scan in
 oracles.py bit for bit, on point sets chosen to break a screen whose
 rounding window is too narrow: heavy cancellation, exact duplicates and
 ties at the kth boundary, squared distances that sqrt merges into ties,
-and norms large enough that the Gram estimate overflows.
+and norms large enough that the Gram estimate overflows. Since a window
+wider than needed passes those comparisons too, the rounding bound itself
+is checked on the same point sets.
 """
+import itertools
+
 import numpy as np
 import pytest
 
-from localtriplet.knn import build_index, take_snapshot, topk
+from localtriplet.knn import build_index, class_screen, screen, take_snapshot, topk
 from localtriplet.mining import mine_hard, trainable_anchors
 from localtriplet.verify import check_optimal_condition, purity_check
 from oracles import (
+    distance_blocks,
     exhaustive_condition_terms,
     exhaustive_mine_hard,
     exhaustive_snapshot,
@@ -75,6 +80,30 @@ def test_sphere_set_has_sqrt_merged_ties():
         sq = np.sum(d * d, axis=1)
         merged = np.unique(np.sqrt(sq)).size < np.unique(sq).size
         assert merged, dim
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_estimates_within_half_the_window(kind, dim, blocks):
+    # every estimate of a row with a finite window lies within B_i, half the
+    # window, of its pinned squared distance; the own column's -inf is left out
+    pts = _points(kind, dim)
+    queries = np.concatenate([_points(kind, dim, seed=1)[:9], pts[:4], np.zeros((1, dim))])
+    checked = 0
+    for blk in itertools.chain(screen(queries, pts), screen(pts, pts, np.arange(N)),
+                               class_screen(pts, _labels())):
+        pinned = np.concatenate([d for _lo, _hi, d in distance_blocks(
+            blk.q[blk.lo:blk.hi], blk.p, metric="sq_euclidean")])
+        rows = np.isfinite(blk.window)
+        keep = np.repeat(rows[:, None], N, axis=1)
+        if blk.own is not None:
+            keep[blk.own] = False
+        half = np.broadcast_to(blk.window[:, None] / 2, keep.shape)
+        assert np.all(np.abs(blk.est - pinned)[keep] <= half[keep])
+        checked += np.count_nonzero(rows)
+    # squared norms near the float64 maximum give every row an infinite window
+    assert checked == 0 if kind == "overflow" else checked == 2 * N + 14
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
