@@ -26,6 +26,7 @@ import platform
 import sys
 import time
 import zipfile
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -137,6 +138,12 @@ OPTIONS = {
     "config": Option(str, help="key = value config file"),
 }
 
+# the options that set a LossWeights field and those that set a TrainConfig
+# field; _FIELDS names each field whose name differs from its option's
+_WEIGHTS = ("w_lm", "w_ms", "w_md", "w_ss", "w_sd", "c_b", "eps", "margin_m")
+_SCHEDULE = ("batch_size", "epochs", "convergence_eps", "lr", "seed")
+_FIELDS = {"margin_m": "fixed_margin_m", "epochs": "e_max"}
+
 # train and compare take every option but the two that name an existing run
 _TRAINING = tuple(name for name in OPTIONS if name not in ("run_dir", "which"))
 COMMANDS = {    # command: (help, the options it takes as flags and config keys)
@@ -211,14 +218,13 @@ def _resolve(ns: argparse.Namespace, run: Path | None = None):
     return values, sources
 
 
-def _make_out_dir(opts: dict, name: str) -> Path:
+def _out_dir(opts: dict, name: str) -> Path:
+    """A train or compare run's directory; _train_into creates it once a
+    method has trained."""
     if opts.get("out_dir"):
-        out = Path(opts["out_dir"])
-    else:
-        stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
-        out = Path(os.environ.get("LOCALTRIPLET_RUNS_DIR", "runs")) / f"{stamp}-{name}"
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        return Path(opts["out_dir"])
+    stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
+    return Path(os.environ.get("LOCALTRIPLET_RUNS_DIR", "runs")) / f"{stamp}-{name}"
 
 
 def _mnist_paths(train_dir, kind: str):
@@ -309,17 +315,24 @@ def _build_net(opts: dict, dataset: Dataset) -> EmbeddingNet:
         raise ConfigError(f"bad --arch {arch!r}: {err}") from err
 
 
-def _train_config(opts: dict) -> TrainConfig:
-    try:
-        weights = LossWeights(w_lm=opts["w_lm"], w_ms=opts["w_ms"], w_md=opts["w_md"],
-                              w_ss=opts["w_ss"], w_sd=opts["w_sd"], c_b=opts["c_b"],
-                              eps=opts["eps"], fixed_margin_m=opts["margin_m"])
-        return TrainConfig(method=opts["method"], k=opts["k"], weights=weights,
-                           batch_size=opts["batch_size"], e_max=opts["epochs"],
-                           convergence_eps=opts["convergence_eps"], lr=opts["lr"],
-                           seed=opts["seed"])
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+def _checked(build, names, opts: dict, sources: dict):
+    """build(**{field: value}) for the options in names. Each option is built
+    alone first, so that a value build refuses is a ConfigError naming that
+    option as the CLI spells it and where its value came from."""
+    for name in names:
+        field = _FIELDS.get(name, name)
+        try:
+            build(**{field: opts[name]})
+        except ValueError as err:
+            raise ConfigError(f"{str(err).replace(field, name)} "
+                              f"({name} from {sources[name]})") from err
+    return build(**{_FIELDS.get(name, name): opts[name] for name in names})
+
+
+def _train_config(opts: dict, sources: dict) -> TrainConfig:
+    weights = _checked(LossWeights, _WEIGHTS, opts, sources)
+    return _checked(partial(TrainConfig, method=opts["method"], k=opts["k"], weights=weights),
+                    _SCHEDULE, opts, sources)
 
 
 def _write_json(path: Path, payload: dict) -> str:
@@ -354,13 +367,14 @@ def _manifest(out_dir: Path, command: str, opts: dict, train_ds: Dataset,
     _write_json(out_dir / "manifest.json", payload)
 
 
-def _train_into(out_dir: Path, opts: dict):
-    """Shared by cmd_train and cmd_compare: one full training run.
+def _train_into(out_dir: Path, opts: dict, sources: dict):
+    """Shared by cmd_train and cmd_compare: one full training run, whose
+    directory is created only once it has trained.
     Returns (net, train, test, reports, stop reason, k)."""
     train_ds, val_ds, test_ds = _load_data(opts)
     k = _check_k(opts["k"], train_ds.n)
     net = _build_net(opts, train_ds)
-    config = _train_config(opts)
+    config = _train_config(opts, sources)
 
     lines: list[str] = []
     try:
@@ -368,6 +382,7 @@ def _train_into(out_dir: Path, opts: dict):
                                      log_fn=lambda r: lines.append(r.to_json_line()))
     except ValueError as err:     # a training set the method cannot train on
         raise DataError(str(err)) from err
+    out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_open(out_dir / "epochs.jsonl", "w") as f:
         f.write("".join(line + "\n" for line in lines))
     with atomic_open(out_dir / "timings.jsonl", "w") as f:
@@ -388,9 +403,9 @@ def _train_into(out_dir: Path, opts: dict):
 
 
 def cmd_train(ns: argparse.Namespace) -> int:
-    opts, _ = _resolve(ns)
-    out_dir = _make_out_dir(opts, opts["method"])
-    _net, _train, _test, reports, reason, _k = _train_into(out_dir, opts)
+    opts, sources = _resolve(ns)
+    out_dir = _out_dir(opts, opts["method"])
+    _net, _train, _test, reports, reason, _k = _train_into(out_dir, opts, sources)
     last = reports[-1].mean_batch_loss if reports else float("nan")
     print(f"trained {opts['method']} for {len(reports)} epochs ({reason}); "
           f"final mean batch loss {last:.6g}")
@@ -460,11 +475,7 @@ def _scatter_xy(emb: np.ndarray) -> np.ndarray:
 def cmd_verify(ns: argparse.Namespace) -> int:
     opts, sources = _resolve(ns, Path(ns.run_dir))
     # the c_b and eps that train refuses, refused before the run is loaded
-    for name in ("c_b", "eps"):
-        try:
-            LossWeights(**{name: opts[name]})
-        except ValueError as err:
-            raise ConfigError(f"{err} ({name} from {sources[name]})") from err
+    _checked(LossWeights, ("c_b", "eps"), opts, sources)
     net, train_ds, queries, run = _load_run(opts["run_dir"])
     k = _check_k(opts["k"], train_ds.n)
     settings = {"k": k, "c_b": opts["c_b"], "eps": opts["eps"]}
@@ -504,14 +515,12 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def cmd_compare(ns: argparse.Namespace) -> int:
-    opts, _ = _resolve(ns)
-    out_dir = _make_out_dir(opts, "compare")
+    opts, sources = _resolve(ns)
+    out_dir = _out_dir(opts, "compare")
     rows = []
     for method in METHODS:
-        sub = out_dir / method
-        sub.mkdir(parents=True, exist_ok=True)
         net, train_ds, test_ds, reports, reason, k = _train_into(
-            sub, dict(opts, method=method, out_dir=None))
+            out_dir / method, dict(opts, method=method, out_dir=None), sources)
         if test_ds is None or not test_ds.n:
             raise DataError("compare needs held-out test data")
         accuracy, _p, _c = evaluate_knn(net, train_ds, test_ds, k)

@@ -45,7 +45,7 @@ class LossWeights:
     def __post_init__(self):
         for name in ("w_lm", "w_ms", "w_md", "w_ss", "w_sd", "fixed_margin_m"):
             if getattr(self, name) < 0:
-                raise ValueError(f"bad_weight: {name} must be >= 0")
+                raise ValueError(f"bad_weight: {name}={getattr(self, name)} must be >= 0")
         if self.c_b < 3.0:
             raise ValueError(f"c_b_too_small: {self.c_b} < 3")
         if self.eps <= 0.0:

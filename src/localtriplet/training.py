@@ -62,8 +62,11 @@ class TrainConfig:
             raise ValueError(f"bad_method: {self.method!r}, expected one of {METHODS}")
         if self.k is not None and self.k < 1:
             raise ValueError(f"bad_k: {self.k}")
-        if self.batch_size < 1 or self.e_max < 0 or self.lr <= 0 or self.convergence_eps < 0:
-            raise ValueError("bad_config: batch_size >= 1, e_max >= 0, lr > 0, eps >= 0")
+        for name, low in (("batch_size", 1), ("e_max", 0), ("convergence_eps", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"bad_{name}: {name}={getattr(self, name)} must be >= {low}")
+        if self.lr <= 0:
+            raise ValueError(f"bad_lr: lr={self.lr} must be > 0")
 
 
 @dataclass(frozen=True)

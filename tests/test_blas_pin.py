@@ -6,6 +6,7 @@ thread."""
 import ctypes
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ import localtriplet
 from localtriplet import network
 
 SRC = str(Path(localtriplet.__file__).resolve().parents[1])
+MODULES = sorted(module.name for module in pkgutil.iter_modules(localtriplet.__path__))
 
 # two epochs of a small conv net on 24 noisy 28x28 images of 3 classes:
 # its epoch lines, a digest of its parameter bytes, and the pin's results
@@ -51,6 +53,17 @@ print(json.dumps([network.BLAS_THREADS, network.STAGE_THREADS]))
 """
 
 
+# the thread count of numpy's OpenBLAS after a bare import of the package
+BARE_IMPORT = """
+import ctypes, json
+import localtriplet
+from numpy.linalg import _umath_linalg
+get = ctypes.CDLL(_umath_linalg.__file__).scipy_openblas_get_num_threads64_
+get.restype = ctypes.c_int
+print(json.dumps(get()))
+"""
+
+
 def _python(code, **env):
     """The JSON that `code` prints, run in a new interpreter with env set."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -82,3 +95,15 @@ def test_training_bits_do_not_depend_on_openblas_num_threads():
     assert (one["epochs"], one["params"]) == (two["epochs"], two["params"])
     for run in (one, two):
         assert run["blas_threads"] == 1 and run["stage_threads"] == network.CPUS
+
+
+@pytest.mark.skipif(network.BLAS_THREADS is None, reason="numpy's BLAS has no OpenBLAS thread setter")
+def test_bare_package_import_pins_openblas_to_one_thread():
+    assert _python(BARE_IMPORT, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2") == 1
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_on_its_own(module):
+    # in a fresh interpreter each module starts its own import chain, so a
+    # circular import among the modules fails here
+    assert _python(f"import json, localtriplet.{module}; print(json.dumps(True))")

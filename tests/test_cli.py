@@ -107,7 +107,7 @@ def test_train_non_finite_parameters_after_last_step_exit_4(tmp_path, capsys):
                  "--out-dir", str(out)])
     assert code == 4
     assert "non-finite parameters after epoch 0" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_manifest_records_environment(tmp_path):
@@ -497,6 +497,7 @@ def test_bad_input_exit_2(tmp_path, capsys, case):
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "r").exists()
 
 
 def test_non_finite_option_leaves_the_run_as_it_was(tmp_path, capsys):
@@ -534,6 +535,32 @@ def test_blob_setting_out_of_range_names_the_option(tmp_path, capsys, flag, mess
     capsys.readouterr()
     assert main(["train", *SMALL_ARGS, flag, "--out-dir", str(tmp_path / "r")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("command, options, config, message", [
+    ("train", ["--lr", "-1"], "", "bad_lr: lr=-1.0 must be > 0 (lr from flag)"),
+    ("train", [], "epochs = -1", "bad_epochs: epochs=-1 must be >= 0 (epochs from config)"),
+    ("train", ["--method", "mm", "--margin-m", "-5"], "",
+     "bad_weight: margin_m=-5.0 must be >= 0 (margin_m from flag)"),
+    ("compare", ["--batch-size", "0"], "",
+     "bad_batch_size: batch_size=0 must be >= 1 (batch_size from flag)"),
+], ids=["flag", "config", "margin-m", "compare"])
+def test_refused_training_option_names_the_option(tmp_path, capsys, command, options, config,
+                                                  message):
+    # refused before any epoch, so the default epoch count stays untrained
+    out = tmp_path / "r"
+    argv = [command, "--classes", "2", "--per-class", "30", "--dim", "3", "--arch", "mlp:4",
+            *options, "--config", _write(tmp_path / "c", config), "--out-dir", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_refused_option_leaves_the_default_runs_dir_empty(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LOCALTRIPLET_RUNS_DIR", str(tmp_path))
+    assert main(["train", *SMALL_ARGS, "--lr", "-1"]) == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_k_range_upper_bound_accepted(tmp_path, capsys):
