@@ -43,12 +43,13 @@ class LossWeights:
     fixed_margin_m: float = 1_000_000.0
 
     def __post_init__(self):
+        # each range check is `not x >= low`, which NaN fails too
         for name in ("w_lm", "w_ms", "w_md", "w_ss", "w_sd", "fixed_margin_m"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"bad_weight: {name}={getattr(self, name)} must be >= 0")
-        if self.c_b < 3.0:
+        if not self.c_b >= 3.0:
             raise ValueError(f"c_b_too_small: {self.c_b} < 3")
-        if self.eps <= 0.0:
+        if not self.eps > 0.0:
             raise ValueError(f"bad_eps: {self.eps} must be > 0")
 
 

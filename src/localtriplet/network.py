@@ -1,6 +1,7 @@
 """The embedding network f(I; theta): a configurable stack of conv/pool/
 dense layers with hand-derived backward passes, plus the softmax
-classification head for the end-to-end baseline and the Adam optimizer.
+classification head for the end-to-end baseline and the Adam optimizer,
+which steps the arrays it is built with in place, one pass per array.
 
 Layout conventions: image batches are (n, H, W, C) float64, flat batches
 are (n, d). Convolutions are 3x3-style odd square filters, stride 1,
@@ -143,7 +144,6 @@ LEAKY_SLOPE = 0.01
 CHECKPOINT_FORMAT_VERSION = 1
 TILE_BYTES = 1 << 21   # largest per-image tensor of an image-stage tile, in bytes
 MIN_GEMM_ROWS = 4      # fewer rows take another BLAS path, with other bits
-STEP_ELEMENTS = 1 << 14   # Adam updates larger parameters in row blocks of about this size
 EMBED_ROWS = 512       # embed runs the stack on chunks of this many samples
 
 
@@ -826,10 +826,12 @@ def softmax_head_loss(embeddings, labels, head: SoftmaxHead):
 
 
 class Adam:
-    """Bias-corrected Adam; update is -lr * m_hat / (sqrt(v_hat) + eps)."""
+    """Bias-corrected Adam; update is -lr * m_hat / (sqrt(v_hat) + eps), made
+    in place on the arrays it is built with (`params`), one pass per array."""
 
     def __init__(self, params: list[np.ndarray], lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -838,41 +840,32 @@ class Adam:
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if len(params) != len(self.m) or len(grads) != len(self.m):
-            raise ValueError("shape_mismatch: optimizer state built for a different net")
+    def step(self, grads: list[np.ndarray]) -> None:
+        if len(grads) != len(self.params):
+            raise ValueError(f"shape_mismatch: {len(grads)} grads for {len(self.params)} params")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
             if p.shape != g.shape:
                 raise ValueError(f"shape_mismatch: grad {g.shape} for param {p.shape}")
-            # blocks of leading-axis rows: the two temporaries stay small and
-            # in cache, and take no page faults on the large weights; a
-            # parameter of at most STEP_ELEMENTS values is one block
-            p, g, m, v = np.atleast_1d(p, g, m, v)
-            rows = max(1, STEP_ELEMENTS * len(p) // max(p.size, 1))
-            for lo in range(0, len(p), rows):
-                s = slice(lo, lo + rows)
-                self._update(p[s], g[s], m[s], v[s], c1, c2)
-
-    def _update(self, p, g, m, v, c1, c2):
-        # m += (1 - b1) * g; v += (1 - b2) * g * g;
-        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in that operation order
-        m *= self.beta1
-        t = g * (1.0 - self.beta1)
-        m += t
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=t)
-        t *= g
-        v += t
-        np.divide(v, c2, out=t)
-        np.sqrt(t, out=t)
-        t += self.eps
-        u = m / c1
-        u *= self.lr
-        u /= t
-        p -= u
+            # m += (1 - b1) * g; v += (1 - b2) * g * g;
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in that operation order
+            p, g, m, v = np.atleast_1d(p, g, m, v)   # 0-d: g * c would be a scalar, no out=
+            m *= self.beta1
+            t = g * (1.0 - self.beta1)
+            m += t
+            v *= self.beta2
+            np.multiply(g, 1.0 - self.beta2, out=t)
+            t *= g
+            v += t
+            np.divide(v, c2, out=t)
+            np.sqrt(t, out=t)
+            t += self.eps
+            u = m / c1
+            u *= self.lr
+            u /= t
+            p -= u
 
 
 def save_checkpoint(path, net: EmbeddingNet, extra: dict | None = None) -> None:

@@ -60,12 +60,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"bad_method: {self.method!r}, expected one of {METHODS}")
-        if self.k is not None and self.k < 1:
+        # each range check is `not x >= low`, which NaN fails too
+        if self.k is not None and not self.k >= 1:
             raise ValueError(f"bad_k: {self.k}")
         for name, low in (("batch_size", 1), ("e_max", 0), ("convergence_eps", 0)):
-            if getattr(self, name) < low:
+            if not getattr(self, name) >= low:
                 raise ValueError(f"bad_{name}: {name}={getattr(self, name)} must be >= {low}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError(f"bad_lr: lr={self.lr} must be > 0")
 
 
@@ -169,7 +170,8 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
     caches are deleted before the step, so one batch of caches is alive at
     a time; the image stage's whole-batch arrays are views of the net's
     buffers, kept from batch to batch and, outside `train`, after the epoch
-    (EmbeddingNet.release_buffers drops them).
+    (EmbeddingNet.release_buffers drops them). `adam` steps the arrays it
+    was built with: the net's parameters, then the head's for softmax.
     """
     clock = time.perf_counter
     t0 = clock()
@@ -189,11 +191,9 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
                 and np.all(np.isfinite(snapshot.d_ak_pos[snapshot.has_positive]))):
             raise DivergedError(f"diverged: snapshot distances overflow in epoch {epoch}")
 
-    params = net.params
     if method == "softmax":
         if head is None:
             raise ValueError("bad_config: softmax method needs a head")
-        params = params + head.params
         batches = _batched(rng.permutation(dataset.n), config.batch_size)
     elif method == "mm_hardmin":
         # rows are mined in the loop from the whole class-balanced batch's embeddings
@@ -240,7 +240,7 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
             grads = net.backward(caches, grad_emb) + grads
         del emb, caches
         if grads is not None:
-            adam.step(params, grads)
+            adam.step(grads)
             batch_losses.append(value)
 
     with np.errstate(over="ignore"):   # finite batch losses whose sum overflows
@@ -310,8 +310,7 @@ def train(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
         head = SoftmaxHead(net.out_dim, int(dataset.labels.max()) + 1,
                            seed=config.seed + 1)
     rng = np.random.default_rng(config.seed)
-    params = net.params + (head.params if head else [])
-    adam = Adam(params, lr=config.lr)
+    adam = Adam(net.params + (head.params if head else []), lr=config.lr)
     k = resolve_k(config, dataset.n)
 
     reports: list[EpochReport] = []
@@ -331,7 +330,7 @@ def train(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
                         best_params = [p.copy() for p in net.params]
                 # a step that makes a parameter non-finite shows in the next
                 # step's loss or embedding, except the last step of the run
-                if not all(np.all(np.isfinite(p)) for p in params):
+                if not all(np.all(np.isfinite(p)) for p in adam.params):
                     raise DivergedError(f"diverged: non-finite parameters after epoch {epoch}")
             except DivergedError as err:
                 err.reports = reports

@@ -351,7 +351,7 @@ def test_softmax_gradients_match_fd():
 def test_adam_zero_gradient_keeps_params():
     params = [np.array([1.0, 2.0]), np.array([[3.0]])]
     opt = Adam(params, lr=0.1)
-    opt.step(params, [np.zeros(2), np.zeros((1, 1))])
+    opt.step([np.zeros(2), np.zeros((1, 1))])
     assert opt.t == 1
     assert np.array_equal(params[0], [1.0, 2.0])
     assert np.array_equal(params[1], [[3.0]])
@@ -361,7 +361,7 @@ def test_adam_single_step_closed_form():
     g = np.array([0.3, -2.0, 0.0])
     params = [np.zeros(3)]
     opt = Adam(params, lr=0.01)
-    opt.step(params, [g.copy()])
+    opt.step([g.copy()])
     expected = -0.01 * g / (np.abs(g) + 1e-8)
     assert np.allclose(params[0], expected, rtol=1e-12, atol=1e-18)
 
@@ -374,7 +374,7 @@ def test_adam_quadratic_bowl_losses_decrease():
     for _ in range(100):
         diff = params[0] - target
         losses.append(float(np.sum(diff * diff)))
-        opt.step(params, [2.0 * diff])
+        opt.step([2.0 * diff])
     for i in range(5, 99):
         assert losses[i + 1] < losses[i]
 
@@ -382,7 +382,7 @@ def test_adam_quadratic_bowl_losses_decrease():
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 def test_adam_steps_match_reference_bytes(dtype):
     # gradients spanning 1e-8 to 1e7 in magnitude, both signs, some zeros;
-    # (300, 128) and (40000,) span several update blocks and end in a short one
+    # (300, 128) and (40000,) hold tens of thousands of values, () is 0-d
     rng = np.random.default_rng(14)
     shapes = [(5, 7), (7,), (3, 3, 2), (300, 128), (40000,), ()]
     params = [rng.standard_normal(s).astype(dtype) for s in shapes]
@@ -396,7 +396,7 @@ def test_adam_steps_match_reference_bytes(dtype):
             g = np.asarray(rng.standard_normal(s) * 10.0 ** rng.uniform(-8, 7, s))
             g.reshape(-1)[::5] = 0.0
             grads.append(g.astype(dtype))
-        opt.step(params, grads)
+        opt.step(grads)
         adam_step_reference(want, grads, m, v, t, lr=1e-3)
         for got, ref in zip(params + opt.m + opt.v, want + m + v, strict=True):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
@@ -406,7 +406,25 @@ def test_adam_shape_mismatch():
     params = [np.zeros(3)]
     opt = Adam(params)
     with pytest.raises(ValueError, match="shape_mismatch"):
-        opt.step(params, [np.zeros(4)])
+        opt.step([np.zeros(4)])
+
+
+def test_adam_steps_the_net_and_head_arrays_it_was_built_on():
+    net = EmbeddingNet((6,), mlp(5, 3), seed=3)
+    head = SoftmaxHead(net.out_dim, 2, seed=4)
+    opt = Adam(net.params + head.params, lr=0.1)
+    grads = [np.ones_like(p) for p in opt.params]
+    for restore in (False, True):
+        if restore:     # train's best-validation restore writes into the same arrays
+            net.set_params([np.zeros_like(p) for p in net.params])
+        before = [p.copy() for p in net.params + head.params]
+        opt.step(grads)
+        after = net.params + head.params
+        assert all(a is p for a, p in zip(after, opt.params, strict=True))
+        for was, now in zip(before, after, strict=True):
+            assert np.all(now < was)
+    with pytest.raises(ValueError, match="shape_mismatch"):    # the net's alone
+        opt.step(grads[:len(net.params)])
 
 
 # -------------------------------------------------------------- checkpoints

@@ -250,9 +250,9 @@ def test_hardmin_batches_of_one_class_take_no_step(monkeypatch):
     steps = []
     step = training_mod.Adam.step
 
-    def counting(self, params, grads):
+    def counting(self, grads):
         steps.append(1)
-        step(self, params, grads)
+        step(self, grads)
 
     monkeypatch.setattr(training_mod.Adam, "step", counting)
     net = EmbeddingNet((12, 12, 1), mnist_cnn(), seed=18)
@@ -287,6 +287,23 @@ def test_dataset_without_a_positive_rejected(method):
 def test_bad_method_rejected():
     with pytest.raises(ValueError, match="bad_method"):
         TrainConfig(method="adversarial")
+
+
+@pytest.mark.parametrize("cls, field, code", [
+    (TrainConfig, "k", "bad_k"),
+    (TrainConfig, "batch_size", "bad_batch_size"),
+    (TrainConfig, "e_max", "bad_e_max"),
+    (TrainConfig, "convergence_eps", "bad_convergence_eps"),
+    (TrainConfig, "lr", "bad_lr"),
+    *[(LossWeights, name, "bad_weight")
+      for name in ("w_lm", "w_ms", "w_md", "w_ss", "w_sd", "fixed_margin_m")],
+    (LossWeights, "c_b", "c_b_too_small"),
+    (LossWeights, "eps", "bad_eps"),
+])
+def test_nan_fails_every_range_check(cls, field, code):
+    kwargs = {"method": "mm"} if cls is TrainConfig else {}
+    with pytest.raises(ValueError, match=code):
+        cls(**kwargs, **{field: float("nan")})
 
 
 def test_val_tracking_restores_best_checkpoint():
@@ -408,7 +425,6 @@ def _epoch_in_new_arrays(net, config, ds, rng, adam, head):
     lm_mining and softmax, releasing the net's buffers before every batch:
     its report's JSON line."""
     labels, method, snapshot = ds.labels, config.method, None
-    params = net.params + (head.params if head else [])
     if method == "softmax":
         batches = [(ids, None) for ids in training_mod._batched(rng.permutation(ds.n),
                                                                 config.batch_size)]
@@ -443,7 +459,7 @@ def _epoch_in_new_arrays(net, config, ds, rng, adam, head):
             head_grads = []
             n_triplets += len(rows)
             n_active += active
-        adam.step(params, net.backward(caches, grad_emb) + head_grads)
+        adam.step(net.backward(caches, grad_emb) + head_grads)
         losses.append(value)
     return EpochReport(
         epoch=0, mean_batch_loss=float(np.mean(losses)), n_triplets=n_triplets,
