@@ -50,6 +50,14 @@ its estimates.
   keep their whole slab, since their d_ak_pos is the farthest peer.
 * The largest same-class value is read as a max over the slab, the
   smallest other-class value as a min over the columns outside it.
+* The band. The optimal-condition check needs the kth nearest distance's
+  value, not its id, so the columns that surely rank before it are
+  counted, not recomputed: with below_i the count of columns with
+  e_ij < E_i - 2*B_i, the kth value is the (k - below_i)-th smallest exact
+  distance of the band E_i - 2*B_i <= e_ij <= E_i + 2*B_i. A block takes
+  the band where every row's smallest estimate outside its slab lies above
+  S_i + 2*B_i, so that E_i = S_i and the band lies in the slab; any other
+  block keeps the rules above (ScreenBlock.condition_keep).
 * The tie rule. Candidates are recomputed once per block, over the union
   of every statistic's candidates, and ranked by (distance, original id),
   never by sorted position: a row is sorted by distance, and where two of
@@ -82,6 +90,19 @@ terms, the computed S_i and the rounding of E_i + 2*B_i; the smallest
 normal number ``tiny`` covers underflow, since a subnormal result errs by
 at most u * tiny. A row with S_i >= 2^1020, where a sum of squares could
 overflow (or a non-finite S_i), gets B_i = inf and keeps every column.
+
+The band's lower side. At most k - 1 other columns have e < E_i, so at
+least n - k have s >= E_i - B_i, and the exact kth value s_(k) is at least
+E_i - B_i. A column with e < E_i - 2*B_i has s <= e + B_i < E_i - B_i <=
+s_(k), so it ranks strictly before the kth; a column above the band has
+s > E_i + B_i >= s_(k). So s_(k) is the (k - below_i)-th smallest of any
+kept set that holds the band and no column below it, and since sqrt is
+monotone the same holds for the euclidean values. The computed E_i - 2*B_i
+errs by at most u |E_i - 2*B_i|, as much as the rounding of E_i + 2*B_i,
+so the same spare in B_i covers it. A non-finite window gives a lower end
+of -inf or NaN, below which no column lies. The own column, at -inf,
+is below the lower end only where E_i - 2*B_i > -inf, and is then taken
+off below_i, since it is never one of the k.
 
 The norms ride in the GEMM's operands, so that its output is the finished
 estimate with no broadcast pass after it; -2 a_i is an exact power-of-two
@@ -208,11 +229,30 @@ class ScreenBlock:
         row's own class slab."""
         return (cols >= self.start[:, None]) & (cols < self.stop[:, None])
 
-    def kth_keep(self, k: int):
+    def slab_kth(self, k: int):
+        """S_i: each row's kth smallest slab estimate, its own column not
+        counted; inf for the rows of a class with k or fewer other members."""
+        kth = np.full(self.est.shape[0], np.inf)
+        for rows, slab in self.runs:
+            if slab.stop - slab.start > k:
+                kth[rows] = np.partition(self.est[rows, slab], k, axis=1)[:, k]
+        return kth
+
+    def outside_min(self):
+        """Each row's smallest estimate outside its slab; inf where the slab
+        is the whole row."""
+        low = np.empty(self.est.shape[0])
+        for rows, slab in self.runs:
+            low[rows] = np.minimum(self.est[rows, :slab.start].min(axis=1, initial=np.inf),
+                                   self.est[rows, slab.stop:].min(axis=1, initial=np.inf))
+        return low
+
+    def kth_keep(self, k: int, kth=None):
         """Candidate mask for each row's k nearest other points of any class
         and for the statistic its d_ak_pos takes: its kth nearest same-class
         point when the class has k other members or more, else every
-        same-class column (the farthest peer decides).
+        same-class column (the farthest peer decides). kth, if given, is
+        slab_kth(k).
 
         S_i, the kth smallest estimate of the row's slab, bounds the kth
         smallest of the whole row, so one compare est <= S_i + window keeps
@@ -222,11 +262,7 @@ class ScreenBlock:
         with the slab's est <= S_i + window (every slab column without
         S_i)."""
         est = self.est
-        bound = np.full(est.shape[0], np.inf)
-        for rows, slab in self.runs:
-            if slab.stop - slab.start > k:
-                bound[rows] = np.partition(est[rows, slab], k, axis=1)[:, k]
-        bound = (bound + self.window)[:, None]
+        bound = ((self.slab_kth(k) if kth is None else kth) + self.window)[:, None]
         keep = ~(est > bound)
         # the fallback rule, and the rows of classes too small for S_i
         wide = (np.count_nonzero(keep) > 2 * k * keep.shape[0]) | (self.stop - self.start <= k)
@@ -238,13 +274,14 @@ class ScreenBlock:
                     keep[rows, slab] |= ~(est[rows, slab] > bound[rows])
         return keep
 
-    def extreme_keep(self, keep):
+    def extreme_keep(self, keep, low=None):
         """Add to keep the candidates for each row's largest same-class and
         smallest other-class distance: the slab columns whose estimate is
         not below the slab's largest estimate minus the window, and the
-        columns outside it not above their smallest estimate plus the
-        window. A non-finite estimate, statistic or window keeps the column.
-        Overwrites the slab estimates with inf, so it comes last."""
+        columns outside it not above their smallest estimate (low, if given,
+        is outside_min()) plus the window. A non-finite estimate, statistic
+        or window keeps the column. Overwrites the slab estimates with inf,
+        so it comes last."""
         est, w = self.est, self.window[:, None]
         # inf - inf (an overflowed statistic and window) is NaN, whose
         # comparison keeps the column
@@ -253,8 +290,45 @@ class ScreenBlock:
                 at = est[rows, slab]
                 keep[rows, slab] |= ~(at < at.max(axis=1, keepdims=True) - w[rows])
                 at[...] = np.inf
-            keep |= ~(est > np.min(est, axis=1, keepdims=True) + w)
+            low = np.min(est, axis=1) if low is None else low
+            keep |= ~(est > low[:, None] + w)
         return keep
+
+    def condition_keep(self, k: int):
+        """(keep, below): the candidate mask of each row's kth nearest
+        distance, largest same-class and smallest other-class distance (the
+        optimal-condition check's three statistics), and each row's count of
+        other columns that rank before its kth nearest without being kept,
+        so that the kth nearest distance is the (k - below)-th smallest kept
+        one.
+
+        The band path, for a block whose every row has its smallest outside
+        estimate above S_i + window: there E_i = S_i, and the kth nearest's
+        candidates are its band, the slab columns with S_i - window <= est
+        <= S_i + window; the columns below the band are counted, not kept
+        (the band, in the module docstring). The extremes keep extreme_keep's
+        bands. Any other block keeps kth_keep's and extreme_keep's columns
+        and counts none (below is None); both paths share S_i and the outside
+        minimum. May overwrite the slab estimates, so it comes last."""
+        est, w = self.est, self.window
+        kth, low = self.slab_kth(k), self.outside_min()
+        with np.errstate(invalid="ignore"):     # -inf + inf: an overflowed row
+            banded = np.all(low > kth + w)
+        if not banded:
+            return self.extreme_keep(self.kth_keep(k, kth), low), None
+        # every window, S_i and estimate here is finite (an infinite low
+        # means no column outside the slab), save the own column's -inf
+        lower, upper = kth - w, kth + w
+        keep = est <= (low + w)[:, None]
+        below = np.empty(est.shape[0], np.int64)
+        for rows, slab in self.runs:
+            at = est[rows, slab]
+            under = at < lower[rows, None]
+            below[rows] = np.count_nonzero(under, axis=1)
+            keep[rows, slab] = ((~under & (at <= upper[rows, None]))
+                                | (at >= at.max(axis=1, keepdims=True) - w[rows, None]))
+        # the own column, at -inf, counted where the band's lower end is above it
+        return keep, below - (lower > -np.inf)
 
     def point_ids(self, cols):
         """Point ids of the columns cols; the padding column n maps to n."""

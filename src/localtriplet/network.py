@@ -843,12 +843,14 @@ class Adam:
     def step(self, grads: list[np.ndarray]) -> None:
         if len(grads) != len(self.params):
             raise ValueError(f"shape_mismatch: {len(grads)} grads for {len(self.params)} params")
+        # a refused list leaves t, the parameters and the moments as they were
+        for p, g in zip(self.params, grads):
+            if p.shape != g.shape:
+                raise ValueError(f"shape_mismatch: grad {g.shape} for param {p.shape}")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            if p.shape != g.shape:
-                raise ValueError(f"shape_mismatch: grad {g.shape} for param {p.shape}")
             # m += (1 - b1) * g; v += (1 - b2) * g * g;
             # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in that operation order
             p, g, m, v = np.atleast_1d(p, g, m, v)   # 0-d: g * c would be a scalar, no out=

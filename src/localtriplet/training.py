@@ -162,7 +162,7 @@ def embed_finite(net: EmbeddingNet, dataset: Dataset, where: str = "") -> np.nda
 
 def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
               epoch: int, rng: np.random.Generator, adam: Adam,
-              head: SoftmaxHead | None = None) -> EpochReport:
+              head: SoftmaxHead | None = None, embedded=None) -> EpochReport:
     """One pass over the training set with the configured method.
 
     Each method only chooses its batches, and one loop runs every batch:
@@ -172,6 +172,8 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
     buffers, kept from batch to batch and, outside `train`, after the epoch
     (EmbeddingNet.release_buffers drops them). `adam` steps the arrays it
     was built with: the net's parameters, then the head's for softmax.
+    embedded, if given, is embed_finite of the dataset with the net's present
+    parameters; the snapshot methods use it in place of embedding it again.
     """
     clock = time.perf_counter
     t0 = clock()
@@ -182,7 +184,8 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
 
     snapshot = None
     if method in _SNAPSHOT_METHODS:
-        embedded = embed_finite(net, dataset, f"at the start of epoch {epoch}")
+        if embedded is None:
+            embedded = embed_finite(net, dataset, f"at the start of epoch {epoch}")
         t1 = clock()
         snapshot = take_snapshot(build_index(embedded, labels, metric="euclidean"), k, epoch)
         phases["embed"], phases["snapshot"] = t1 - t0, clock() - t1
@@ -270,7 +273,15 @@ def evaluate_knn(net: EmbeddingNet, train: Dataset, queries: Dataset, k: int):
 
     Each query takes the majority_vote of its k nearest training points.
     """
-    ids, _ = topk(embed_finite(net, queries), embed_finite(net, train), k)
+    return _evaluate_knn(net, train, queries, k)[:3]
+
+
+def _evaluate_knn(net: EmbeddingNet, train: Dataset, queries: Dataset, k: int):
+    """evaluate_knn's (accuracy, predictions, confusion), then the training
+    set's embedding it made."""
+    query_emb = embed_finite(net, queries)      # a query failure is reported first
+    train_emb = embed_finite(net, train)
+    ids, _ = topk(query_emb, train_emb, k)
     classes = np.unique(np.concatenate([train.labels, queries.labels]))
     votes = np.searchsorted(classes, train.labels)[ids]      # (m, k) class positions
     pred_pos, _ = majority_vote(votes)
@@ -278,7 +289,7 @@ def evaluate_knn(net: EmbeddingNet, train: Dataset, queries: Dataset, k: int):
     confusion = np.zeros((classes.size, classes.size), dtype=np.int64)
     np.add.at(confusion, (np.searchsorted(classes, queries.labels), pred_pos), 1)
     accuracy = float(np.mean(preds == queries.labels))
-    return accuracy, preds, confusion
+    return accuracy, preds, confusion, train_emb
 
 
 def train(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
@@ -314,6 +325,7 @@ def train(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
     k = resolve_k(config, dataset.n)
 
     reports: list[EpochReport] = []
+    embedded = None     # the validation pass's training embedding, for the next snapshot
     best_val = None
     best_params = None
     prev_loss = None
@@ -321,9 +333,10 @@ def train(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
     try:
         for epoch in range(config.e_max):
             try:
-                report = run_epoch(net, config, dataset, epoch, rng, adam, head=head)
+                report = run_epoch(net, config, dataset, epoch, rng, adam, head=head,
+                                   embedded=embedded)
                 if val is not None and val.n:
-                    acc, _, _ = evaluate_knn(net, dataset, val, k)
+                    acc, _, _, embedded = _evaluate_knn(net, dataset, val, k)
                     report = replace(report, val_accuracy=acc)
                     if best_val is None or acc > best_val:
                         best_val = acc

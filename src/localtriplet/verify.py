@@ -82,8 +82,12 @@ def check_optimal_condition(embeddings, labels, k: int, c_b: float, eps: float
     d_ak, max_pos, min_neg = np.empty((3, n))
     for blk in class_screen(x, classes):
         rows = blk.layout.ids[blk.lo:blk.hi]
-        cols, dists = blk.candidates(blk.extreme_keep(blk.kth_keep(k)), "euclidean")
-        d_ak[rows] = np.partition(dists, k - 1, axis=1)[:, k - 1]
+        keep, below = blk.condition_keep(k)
+        cols, dists = blk.candidates(keep, "euclidean")
+        if below is None:
+            d_ak[rows] = np.partition(dists, k - 1, axis=1)[:, k - 1]
+        else:       # the band path: the (k - below)-th smallest kept distance
+            d_ak[rows] = np.sort(dists, axis=1)[np.arange(rows.size), k - 1 - below]
         peer = blk.peers(cols)
         # an overflowed (infinite) distance counts as no positive
         max_pos[rows] = np.max(np.where(peer & np.isfinite(dists), dists, -np.inf), axis=1)

@@ -7,11 +7,17 @@ are neither sorted nor contiguous, classes too small for the slab bound,
 exact cross-class ties at the kth boundary where the class-sorted order
 and the id order disagree, blocks that span several classes and classes
 that span several blocks, and with both the slab bound (well-separated
-classes) and the full-row fallback (overlapping classes) at work.
+classes) and the full-row fallback (overlapping classes) at work. The
+optimal-condition check's band, which counts the columns that surely rank
+before the kth instead of recomputing them, is checked by its
+recomputations per anchor and on integer-grid sets with duplicates.
 """
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from localtriplet import knn
 from localtriplet.knn import build_index, class_screen, take_snapshot
 from localtriplet.mining import mine_hard, trainable_anchors
 from localtriplet.verify import check_optimal_condition
@@ -151,6 +157,88 @@ def test_overlapping_classes_take_the_full_row_fallback(k):
               for p, r in zip(pts, snap.d_ak_pos)]
     assert np.mean(within) > 3 * k
     assert k < snap.candidates <= 2 * k
+
+
+def _recomputed_per_anchor(monkeypatch, pts, labels, k):
+    """Exact distance recomputations per anchor of check_optimal_condition,
+    whose terms must equal the exhaustive scan's."""
+    pinned, pairs = knn._pinned, []
+
+    def counting(q, p, qi, pj, metric):
+        pairs.append(qi.size)
+        return pinned(q, p, qi, pj, metric)
+
+    monkeypatch.setattr(knn, "_pinned", counting)
+    report = check_optimal_condition(pts, labels, k, c_b=1.5, eps=1e-3)
+    terms = exhaustive_condition_terms(pts, labels, k)
+    assert np.array_equal(report.d_ak, terms[0])
+    assert np.array_equal(report.max_pos, terms[1])
+    return sum(pairs) / labels.size
+
+
+@pytest.mark.parametrize("k", [3, 14, 39])
+def test_separated_classes_recompute_only_the_band(monkeypatch, k):
+    # each anchor's kth nearest, farthest peer and nearest other-class
+    # point, and no column that surely ranks before the kth; a block
+    # without the band recomputes the k nearest, about k + 2 a row
+    pts, labels = _blobs(spacing=50.0)
+    assert _recomputed_per_anchor(monkeypatch, pts, labels, k) <= 3
+    _assert_all_match(pts, labels, k)
+
+
+@pytest.mark.parametrize("k", [3, 14])
+def test_overlapping_and_mixed_classes_keep_every_term(monkeypatch, k):
+    # overlapping classes leave every block on the rules without the band
+    pts, labels = _blobs(spacing=0.05)
+    assert _recomputed_per_anchor(monkeypatch, pts, labels, k) > k
+    _assert_all_match(pts, labels, k)
+    # two classes overlap and three lie far off: in one block, the overlap
+    # keeps every row off the band; in blocks of 20 rows, blocks of both
+    # kinds meet in one call
+    far = labels >= 2
+    pts[far] += 1e3 * labels[far, None]
+    whole = _recomputed_per_anchor(monkeypatch, pts, labels, k)
+    monkeypatch.setattr(knn, "BLOCK_ELEMENTS", 20 * labels.size)
+    assert 3 < _recomputed_per_anchor(monkeypatch, pts, labels, k) < whole
+    _assert_all_match(pts, labels, k)
+
+
+@st.composite
+def _grid_sets(draw):
+    """(points, labels, k, rows per block): integer-grid points with
+    duplicates, in classes of about k members that overlap, touch or lie far
+    apart, with 1 <= k <= n - 1."""
+    k = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(max(1, k - 1), k + 1), min_size=1, max_size=4))
+    n = sum(sizes)
+    assume(n >= 2)
+    k = draw(st.sampled_from([min(k, n - 1), n - 1]))
+    dim = draw(st.integers(1, 3))
+    pts = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
+                                 min_size=n, max_size=n)), dtype=np.float64)
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=n // 2)):
+        pts[b] = pts[a]
+    classes = draw(st.permutations(np.repeat(np.arange(len(sizes)), sizes).tolist()))
+    labels = 2 * np.array(classes) + 1
+    pts[:, 0] += draw(st.sampled_from([0.0, 2.0, 100.0])) * labels
+    return pts, labels, k, draw(st.integers(1, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grid_sets())
+def test_condition_terms_on_grid_sets_match_exhaustive_scan(case):
+    pts, labels, k, rows = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(knn, "BLOCK_ELEMENTS", rows * labels.size)
+        report = check_optimal_condition(pts, labels, k, c_b=1.5, eps=1e-3)
+    d_ak, max_pos, min_neg = exhaustive_condition_terms(pts, labels, k)
+    assert np.array_equal(report.d_ak, d_ak)
+    assert np.array_equal(report.max_pos, max_pos)
+    rhs = max_pos + 1.5 * d_ak + 1e-3
+    checked = np.bincount(labels)[labels] >= k + 1
+    assert [(v.anchor, v.min_neg_dist) for v in report.violations] == [
+        (int(a), float(min_neg[a])) for a in np.flatnonzero(checked & (min_neg < rhs))]
 
 
 @pytest.mark.parametrize("caller", ["mine_hard", "check_optimal_condition"])

@@ -409,6 +409,21 @@ def test_adam_shape_mismatch():
         opt.step([np.zeros(4)])
 
 
+@pytest.mark.parametrize("steps_before", [0, 1])
+def test_adam_refused_gradients_change_nothing(steps_before):
+    # the second gradient's shape is wrong: nothing may move, the first
+    # parameter and its moments included
+    opt = Adam([np.zeros(2), np.zeros(3)], lr=0.1)
+    for _ in range(steps_before):
+        opt.step([np.ones(2), np.ones(3)])
+    before = [[a.copy() for a in arrays] for arrays in (opt.params, opt.m, opt.v)]
+    with pytest.raises(ValueError, match=r"shape_mismatch: grad \(4,\) for param \(3,\)"):
+        opt.step([np.ones(2), np.ones(4)])
+    assert opt.t == steps_before
+    for arrays, saved in zip((opt.params, opt.m, opt.v), before):
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, saved))
+
+
 def test_adam_steps_the_net_and_head_arrays_it_was_built_on():
     net = EmbeddingNet((6,), mlp(5, 3), seed=3)
     head = SoftmaxHead(net.out_dim, 2, seed=4)

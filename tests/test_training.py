@@ -317,6 +317,44 @@ def test_val_tracking_restores_best_checkpoint():
     assert final_acc == max(accs)
 
 
+@pytest.mark.parametrize("method", training_mod.METHODS)
+def test_one_training_set_embedding_per_epoch_with_validation(method, monkeypatch):
+    # the validation pass's training embedding serves the next epoch's
+    # snapshot: lm_mining embeds 3 times in its first epoch (snapshot, then
+    # the queries and the training set) and 2 times in each later one
+    calls = []
+    embed = EmbeddingNet.embed
+
+    def counting(self, x):
+        calls.append(x.shape[0])
+        return embed(self, x)
+
+    def run(**patches):
+        with monkeypatch.context() as mp:
+            mp.setattr(EmbeddingNet, "embed", counting)
+            for name, value in patches.items():
+                mp.setattr(training_mod, name, value)
+            net, train_ds, val_ds = _blob_setup()
+            cfg = TrainConfig(method=method, e_max=3, convergence_eps=0.0, seed=4, lr=5e-3)
+            ends = []
+            net, reports, _ = train(net, cfg, train_ds, val=val_ds,
+                                    log_fn=lambda r: ends.append(len(calls)))
+        calls.clear()
+        return np.diff(ends, prepend=0).tolist(), reports, net.params
+
+    snapshot = method in ("lm", "lm_mining")
+    counts, reports, params = run()
+    assert counts == ([3, 2, 2] if snapshot else [2, 2, 2])
+    # the same run with every snapshot embedding the set itself, the bytes
+    # of its log and parameters included
+    run_epoch = training_mod.run_epoch
+    counts, alone, alone_params = run(
+        run_epoch=lambda *args, embedded=None, **kwargs: run_epoch(*args, **kwargs))
+    assert counts == ([3, 3, 3] if snapshot else [2, 2, 2])
+    assert [r.to_json_line() for r in reports] == [r.to_json_line() for r in alone]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(params, alone_params))
+
+
 def test_evaluate_knn_on_separable_blobs():
     net, train_ds, test_ds = _blob_setup(spacing=50.0, std=0.5)
     acc, preds, confusion = evaluate_knn(net, train_ds, test_ds, 5)
