@@ -108,8 +108,34 @@ The norms ride in the GEMM's operands, so that its output is the finished
 estimate with no broadcast pass after it; -2 a_i is an exact power-of-two
 scaling, and the terms na_i * 1 and 1 * nb_j are exact products.
 
-A block holds BLOCK_ELEMENTS query rows x points of estimates, and the
-exact recomputation gathers at most half that many floats at a time.
+Blocks and threads. A screen's row blocks hold BLOCK_ELEMENTS // n query
+rows each (one at least, the last the rest), so their edges depend on n and
+BLOCK_ELEMENTS alone. Screen.each runs them on the image stage's pool,
+network._each: STAGE_THREADS threads, the caller's included, and none
+started for one block or a pool of one. Each block makes its estimates
+with its own GEMM into its thread's buffer and writes only its own rows of
+the caller's outputs.
+
+* Scratch. A thread's buffer holds one block's estimates, BLOCK_ELEMENTS
+  floats (1 MB); a block adds its partition copies, a few rows at a time
+  (BLOCK_ELEMENTS / 8 floats), its masks (BLOCK_ELEMENTS bytes each) and
+  the recomputation's gathers (two of BLOCK_ELEMENTS / 4 floats), about
+  2 MB in all. A call holds at most STAGE_THREADS times that (128 MB on
+  64 CPUs), besides the screen's operands, O((m + n) * dim).
+* The error state. numpy keeps it per thread (a context variable in numpy
+  2, which pool threads do not inherit), so each block sets its own, the
+  same on every thread (_QUIET): infinite and NaN values keep their
+  columns, and the callers report infinite distances.
+* The bits. Each result is exact whatever the blocks: the bound above
+  holds for any GEMM summation order, so a block keeps every column that
+  can rank where a statistic asks, and the result is the kept columns'
+  pinned distances in (distance, id) order. The blocks move only which
+  other columns are kept (the GEMM's last bits, the fallback's 2k count
+  and the band's every-row test are per block), so of the outputs only
+  snapshot.candidates can depend on BLOCK_ELEMENTS. With fixed edges, a
+  block runs the same operations on the same operands on any thread (and
+  one BLAS thread), so nothing depends on the pool size, snapshot.candidates
+  included.
 
 Neighborhood snapshots always measure Euclidean (unsquared) distance so
 that triangle-inequality reasoning about neighborhood radii is sound;
@@ -120,15 +146,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .data import Classes
 from .mathops import as_sample_matrix
+from .network import _each, _Job
 
-# query rows * points of one screened block: 512 KB of float64 estimates,
-# about 2 MB of scratch with the block's partition copy and masks
-BLOCK_ELEMENTS = 1 << 16
+# query rows * points of one screened block: 1 MB of float64 estimates, in
+# a buffer each thread reuses, about 2 MB of scratch a thread with the
+# block's partition copies, masks and gathers. On a pool of two, 2^16 ran
+# slower than one thread at 2^16, and 2^18 raised the peak memory 2 MB more
+BLOCK_ELEMENTS = 1 << 17
+# a block's error state, whichever thread runs it: overflowing points give
+# infinite windows, estimates and pinned distances, and inf - inf NaN, all
+# of which keep their columns
+_QUIET = {"divide": "warn", "over": "ignore", "under": "ignore", "invalid": "ignore"}
 _U = 2.0 ** -53                      # float64 unit roundoff
 _TINY = np.finfo(np.float64).tiny    # smallest normal float64
 
@@ -190,27 +224,30 @@ class ScreenBlock:
     """Query rows lo:hi of a screen.
 
     est[r, j] is the Gram estimate of the squared distance from query
-    lo + r to point j, as the screen's one GEMM wrote it (the norms are in
-    its operands), within window[r] / 2 of its pinned value (see the
-    module docstring). own, if given, is every query row's own column (the
-    own-column rule): the block sets its estimate to -inf, and candidates
-    drops it. With a ClassLayout, rows and columns are in its order, row r's
-    class slab is columns start[r]:stop[r], and runs holds one (rows, slab)
-    pair of slices per maximal run of adjacent rows of one class, so that
-    est[rows, slab] is the run's slab estimates as a view.
-    The next block of the same screen overwrites est.
+    lo + r to point j, as the block's GEMM wrote it (the norms are in its
+    operands), within window[r] / 2 of its pinned value (see the module
+    docstring). own, if the screen has it, is every query row's own column
+    (the own-column rule): the block sets its estimate to -inf, and
+    candidates drops it. With a ClassLayout, rows and columns are in its
+    order, row r's class slab is columns start[r]:stop[r], and runs holds
+    one (rows, slab) pair of slices per maximal run of adjacent rows of one
+    class, so that est[rows, slab] is the run's slab estimates as a view.
+    est lies in the buffer of the thread that runs the block, which that
+    thread's next block overwrites.
     """
 
-    def __init__(self, q, p, lo, est, window, own=None, layout=None):
-        self.q, self.p, self.lo, self.hi = q, p, lo, lo + est.shape[0]
-        self.est, self.window, self.layout = est, window, layout
+    def __init__(self, screen: Screen, lo: int, buf: np.ndarray):
+        hi = min(lo + screen.rows, screen.q.shape[0])
+        self.q, self.p, self.lo, self.hi = screen.q, screen.p, lo, hi
+        self.est = est = np.matmul(screen.a[lo:hi], screen.b, out=buf[:hi - lo])
+        self.window, self.layout = screen.window[lo:hi], screen.layout
         # (rows, own columns): the own entries of est
-        self.own = None if own is None else (np.arange(est.shape[0]), own[lo:self.hi])
+        self.own = None if screen.own is None else (np.arange(hi - lo), screen.own[lo:hi])
         if self.own is not None:
             est[self.own] = -np.inf
-        if layout is not None:
-            self.start, self.stop = layout.start[lo:self.hi], layout.stop[lo:self.hi]
-            edges = [0, *(np.flatnonzero(np.diff(self.start)) + 1).tolist(), est.shape[0]]
+        if self.layout is not None:
+            self.start, self.stop = self.layout.start[lo:hi], self.layout.stop[lo:hi]
+            edges = [0, *(np.flatnonzero(np.diff(self.start)) + 1).tolist(), hi - lo]
             self.runs = [(slice(a, b), slice(int(self.start[a]), int(self.stop[a])))
                          for a, b in zip(edges, edges[1:])]
 
@@ -221,7 +258,7 @@ class ScreenBlock:
         A non-finite estimate, statistic or window keeps the column."""
         est = self.est[rows]
         nth = k if self.own is not None else k - 1
-        kth = np.partition(est, nth, axis=1)[:, nth]
+        kth = _nth_smallest(est, nth)
         return ~(est > (kth + self.window[rows])[:, None])
 
     def peers(self, cols):
@@ -235,7 +272,7 @@ class ScreenBlock:
         kth = np.full(self.est.shape[0], np.inf)
         for rows, slab in self.runs:
             if slab.stop - slab.start > k:
-                kth[rows] = np.partition(self.est[rows, slab], k, axis=1)[:, k]
+                kth[rows] = _nth_smallest(self.est[rows, slab], k)
         return kth
 
     def outside_min(self):
@@ -285,13 +322,12 @@ class ScreenBlock:
         est, w = self.est, self.window[:, None]
         # inf - inf (an overflowed statistic and window) is NaN, whose
         # comparison keeps the column
-        with np.errstate(invalid="ignore"):
-            for rows, slab in self.runs:
-                at = est[rows, slab]
-                keep[rows, slab] |= ~(at < at.max(axis=1, keepdims=True) - w[rows])
-                at[...] = np.inf
-            low = np.min(est, axis=1) if low is None else low
-            keep |= ~(est > low[:, None] + w)
+        for rows, slab in self.runs:
+            at = est[rows, slab]
+            keep[rows, slab] |= ~(at < at.max(axis=1, keepdims=True) - w[rows])
+            at[...] = np.inf
+        low = np.min(est, axis=1) if low is None else low
+        keep |= ~(est > low[:, None] + w)
         return keep
 
     def condition_keep(self, k: int):
@@ -312,9 +348,7 @@ class ScreenBlock:
         minimum. May overwrite the slab estimates, so it comes last."""
         est, w = self.est, self.window
         kth, low = self.slab_kth(k), self.outside_min()
-        with np.errstate(invalid="ignore"):     # -inf + inf: an overflowed row
-            banded = np.all(low > kth + w)
-        if not banded:
+        if not np.all(low > kth + w):       # -inf + inf (NaN): an overflowed row
             return self.extreme_keep(self.kth_keep(k, kth), low), None
         # every window, S_i and estimate here is finite (an infinite low
         # means no column outside the slab), save the own column's -inf
@@ -369,6 +403,17 @@ class ScreenBlock:
         return np.take_along_axis(cols, order, axis=1), dists
 
 
+def _nth_smallest(x, nth: int) -> np.ndarray:
+    """Each row's nth smallest entry (from 0) of the 2-D array x, partitioned
+    a few rows at a time, so that the copy a partition makes stays at most
+    BLOCK_ELEMENTS / 8 floats."""
+    out = np.empty(x.shape[0])
+    step = max(1, BLOCK_ELEMENTS // (8 * x.shape[1]))
+    for lo in range(0, x.shape[0], step):
+        out[lo:lo + step] = np.partition(x[lo:lo + step], nth, axis=1)[:, nth]
+    return out
+
+
 def _entries(keep):
     """(rows, cols) of the True entries of a 2-D mask, in row-major order."""
     flat = np.flatnonzero(keep)
@@ -379,30 +424,79 @@ def _entries(keep):
 def _pinned(q, p, qi, pj, metric: str) -> np.ndarray:
     """Distances of the pairs (q[qi], p[pj]): the pinned arithmetic
     np.sum(d * d) over d = query - point, square-rooted for the
-    euclidean metric, gathered at most BLOCK_ELEMENTS / 2 floats at a time
-    (gathers of twice that size took up to 2.4x longer per distance)."""
+    euclidean metric, gathered at most BLOCK_ELEMENTS / 4 floats at a time
+    (gathers of 2^16 and 2^17 floats took 1.2-1.8x as long as 2^15). Run
+    in a block's error state, an overflow gives an infinite distance, which
+    the callers report."""
     out = np.empty(qi.size)
-    step = max(1, BLOCK_ELEMENTS // (2 * q.shape[1]))
-    # an overflow gives an infinite distance, which the callers report
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, qi.size, step):
-            d = np.take(q, qi[lo:lo + step], axis=0)
-            d -= np.take(p, pj[lo:lo + step], axis=0)
-            out[lo:lo + step] = np.sum(np.multiply(d, d, out=d), axis=1)
+    step = max(1, BLOCK_ELEMENTS // (4 * q.shape[1]))
+    for lo in range(0, qi.size, step):
+        d = np.take(q, qi[lo:lo + step], axis=0)
+        d -= np.take(p, pj[lo:lo + step], axis=0)
+        out[lo:lo + step] = np.sum(np.multiply(d, d, out=d), axis=1)
     return np.sqrt(out, out=out) if metric == "euclidean" else out
 
 
-def screen(q: np.ndarray, p: np.ndarray, own=None, layout: ClassLayout | None = None):
-    """Yield a ScreenBlock for each block of at most BLOCK_ELEMENTS query
-    rows x points of the float64 matrices q and p (in layout order, if
-    given). own, if given, is the column each query row leaves out."""
+@dataclass(frozen=True, eq=False)
+class Screen:
+    """The operands of a screen of query rows q against points p, and its
+    row blocks: rows query rows each (the last may be shorter), their edges
+    fixed by n and BLOCK_ELEMENTS alone."""
+
+    q: np.ndarray
+    p: np.ndarray
+    own: np.ndarray | None      # each query row's own column, or None
+    layout: ClassLayout | None
+    a: np.ndarray               # (m, dim + 2) GEMM rows [-2a | na | 1]
+    b: np.ndarray               # (dim + 2, n) GEMM columns [b | 1 | nb]
+    window: np.ndarray          # (m,) 2 * B_i
+    rows: int
+
+    def _buffer(self) -> np.ndarray:
+        """Estimates for one block: a thread's scratch, reused by its blocks."""
+        return np.empty((min(self.rows, self.q.shape[0]), self.p.shape[0]))
+
+    def __iter__(self):
+        """The ScreenBlocks in order, in one estimate buffer that each block
+        overwrites; the caller's error state holds between blocks, not the
+        block's."""
+        buf = self._buffer()
+        for lo in range(0, self.q.shape[0], self.rows):
+            with np.errstate(**_QUIET):
+                blk = ScreenBlock(self, lo, buf)
+            yield blk
+
+    def each(self, fn) -> list:
+        """[fn(blk) for blk in self], the blocks run on the stage pool
+        (network._each: the caller and STAGE_THREADS - 1 helpers, inline for
+        one block). Each block makes its estimates in its thread's buffer and
+        runs, GEMM and fn alike, under the block error state; fn writes only
+        its block's rows of its outputs. The first error of any block is
+        raised here, and no block starts after it."""
+        starts = range(0, self.q.shape[0], self.rows)
+        out = [None] * len(starts)
+        free = []   # buffers between blocks: at most one per thread is made
+
+        def run(i):
+            try:
+                buf = free.pop()
+            except IndexError:
+                buf = self._buffer()
+            with np.errstate(**_QUIET):
+                out[i] = fn(ScreenBlock(self, starts[i], buf))
+            free.append(buf)
+
+        _each(_Job(partial(run, i)) for i in range(len(starts)))
+        return out
+
+
+def screen(q: np.ndarray, p: np.ndarray, own=None, layout: ClassLayout | None = None
+           ) -> Screen:
+    """The Screen of the float64 matrices q (query rows) and p (points), in
+    layout order if given. own, if given, is the column each query row
+    leaves out."""
     (m, dim), n = q.shape, p.shape[0]
-    # overflowing points give infinite windows and estimates, which keep
-    # every column a candidate, and infinite pinned distances, which the
-    # callers report; each errstate closes before a yield, so the caller's
-    # own error state holds between blocks
-    quiet = {"over": "ignore", "invalid": "ignore"}
-    with np.errstate(**quiet):
+    with np.errstate(**_QUIET):
         centre = np.mean(p, axis=0)
         b = p - centre
         a = b if q is p else q - centre
@@ -413,20 +507,14 @@ def screen(q: np.ndarray, p: np.ndarray, own=None, layout: ClassLayout | None = 
         # [-2a | na | 1] @ [b | 1 | nb].T is the finished estimate
         a = np.column_stack((-2.0 * a, na, np.ones(m)))
         b = np.vstack((b.T, np.ones(n), nb))
-    rows = max(1, BLOCK_ELEMENTS // n)
-    buf = np.empty((min(rows, m), n))
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        with np.errstate(**quiet):
-            est = np.matmul(a[lo:hi], b, out=buf[:hi - lo])
-        yield ScreenBlock(q, p, lo, est, window[lo:hi], own, layout)
+    return Screen(q, p, own, layout, a, b, window, max(1, BLOCK_ELEMENTS // n))
 
 
-def class_screen(x: np.ndarray, labels):
-    """The ScreenBlocks of x against itself in ClassLayout order, each row
-    leaving out its own column; blk.layout.ids[blk.lo:blk.hi] are the block
-    rows' point ids. labels may be given as their Classes grouping. The
-    label count is checked at the call, before any block is drawn."""
+def class_screen(x: np.ndarray, labels) -> Screen:
+    """The Screen of x against itself in ClassLayout order, each row leaving
+    out its own column; blk.layout.ids[blk.lo:blk.hi] are a block's rows'
+    point ids. labels may be given as their Classes grouping. The label
+    count is checked at the call, before any block is drawn."""
     classes = labels if isinstance(labels, Classes) else Classes(labels)
     if classes.n != x.shape[0]:
         raise ValueError(f"label_mismatch: {x.shape[0]} points vs {classes.n} labels")
@@ -466,9 +554,12 @@ def topk(queries, points, k: int, exclude=None, metric: str = "euclidean"):
         raise ValueError(f"k_exceeds_n: k={k}, available={avail}")
     ids = np.empty((m, k), dtype=np.int64)
     dists = np.empty((m, k), dtype=np.float64)
-    for blk in screen(q, p, exclude):
+
+    def block(blk):
         cols, d = blk.ranked(blk.smallest(k), k, metric)
         ids[blk.lo:blk.hi], dists[blk.lo:blk.hi] = cols[:, :k], d[:, :k]
+
+    screen(q, p, exclude).each(block)
     return ids, dists
 
 
@@ -557,11 +648,10 @@ def take_snapshot(index: NeighborIndex, k: int, epoch: int = 0) -> NeighborhoodS
     neighbor_ids = np.empty((n, k), dtype=np.int64)
     d_ak = np.empty(n, dtype=np.float64)
     d_ak_pos = np.full(n, np.nan, dtype=np.float64)
-    recomputed = 0
-    for blk in class_screen(index.points, classes):
+
+    def block(blk):
         rows = blk.layout.ids[blk.lo:blk.hi]
         cols, dists = blk.ranked(blk.kth_keep(k), k, "euclidean")
-        recomputed += np.count_nonzero(cols < n)
         neighbor_ids[rows] = blk.point_ids(cols[:, :k])
         d_ak[rows] = dists[:, k - 1]
         # the (nth + 1)-th same-class entry of each ranked row
@@ -569,7 +659,9 @@ def take_snapshot(index: NeighborIndex, k: int, epoch: int = 0) -> NeighborhoodS
         at = np.argmax(np.cumsum(blk.peers(cols), axis=1) > nth[:, None], axis=1)
         ok = nth >= 0
         d_ak_pos[rows[ok]] = dists[ok, at[ok]]
+        return np.count_nonzero(cols < n)
 
+    recomputed = sum(class_screen(index.points, classes).each(block))
     for arr in (d_ak, d_ak_pos, neighbor_ids, has_positive):
         arr.setflags(write=False)
     return NeighborhoodSnapshot(epoch=epoch, k=k, d_ak=d_ak, d_ak_pos=d_ak_pos,

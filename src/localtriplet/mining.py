@@ -115,11 +115,12 @@ def mine_hard(embeddings, labels, anchors) -> np.ndarray:
     anchors = _anchor_array(anchors)
     classes = Classes(labels)
     classes.check(anchors)
-    blocks = class_screen(emb, classes)   # checks the label count, with or without anchors
+    screen = class_screen(emb, classes)   # checks the label count, with or without anchors
     if anchors.size == 0:
         return np.empty((0, 3), dtype=np.int64)
     hardest = np.empty((classes.n, 2), dtype=np.int64)   # (positive, negative) per row
-    for blk in blocks:
+
+    def block(blk):
         at = blk.layout.ids[blk.lo:blk.hi]
         cols, sq = blk.candidates(blk.extreme_keep(np.zeros(blk.est.shape, dtype=bool)),
                                   "sq_euclidean")
@@ -136,6 +137,8 @@ def mine_hard(embeddings, labels, anchors) -> np.ndarray:
         hits = np.where(np.isnan(least), np.isnan(neg), neg == least)
         first = np.min(np.where(hits, ids, classes.n), axis=1)
         hardest[at, 1] = np.where(least[:, 0] == np.inf, 0, first)
+
+    screen.each(block)
     return np.column_stack([anchors, hardest[anchors]])
 
 

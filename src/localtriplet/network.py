@@ -56,21 +56,24 @@ n x 14 x 14 x 32 values.
 
 The stage's forward and backward jobs (tiles, and then weight gradients
 in the backward) run on STAGE_THREADS threads: the caller and a pool of
-helper threads, started by the first stage of more than one tile, pull
-them from one list. Importing this module sets numpy's OpenBLAS to one
-thread for the process, so the pool is the one source of parallelism:
-STAGE_THREADS is the usable CPUs, and 1 where numpy's BLAS has no OpenBLAS
-thread setter and may run threads of its own. Every GEMM then runs on one
-BLAS thread whatever the core count or OPENBLAS_NUM_THREADS, and a run's
-bits follow from its inputs alone. Only
-forward_tile, pooled_tile, backward_tile and param_grads run on a helper;
-the net's and the layers' forward/backward and Adam stay on the calling
-thread. The bits do not depend on the pool size or on which thread runs
-what: a tile runs the same operations on the same rows as on one thread
-and writes only its own rows of the output, the caches, the activation
-gradient and the segment's input gradient, a job that reads a whole-batch
-gradient starts only after every tile that writes it, and each parameter
-gradient is still one whole-batch GEMM on one thread.
+helper threads, started by the first stage of more than one tile or the
+first neighbor screen of more than one block, pull them from one list.
+Importing this module sets numpy's OpenBLAS to one thread for the
+process, so the pool is the one source of parallelism: STAGE_THREADS is
+the usable CPUs, and 1 where numpy's BLAS has no OpenBLAS thread setter
+and may run threads of its own. Every GEMM then runs on one BLAS thread
+whatever the core count or OPENBLAS_NUM_THREADS, and a run's bits follow
+from its inputs alone. Only forward_tile, pooled_tile, backward_tile and
+param_grads, and the row blocks of the neighbor kernel (knn.Screen.each:
+topk, take_snapshot, the optimal-condition check and batch-hard mining),
+run on a helper; the net's and the layers' forward/backward and Adam
+stay on the calling thread. The bits do not depend on the pool size or
+on which thread runs what: a tile runs the same operations on the same
+rows as on one thread and writes only its own rows of the output, the
+caches, the activation gradient and the segment's input gradient, a job
+that reads a whole-batch gradient starts only after every tile that
+writes it, and each parameter gradient is still one whole-batch GEMM on
+one thread.
 
 A layer caches only what its backward reads: a conv its im2col columns
 and the leaky ReLU mask z > 0 (the backward reads only z's sign), a pool
@@ -485,8 +488,8 @@ def _each(jobs, inline: bool = False) -> None:
         return
     pool = _pools.get(STAGE_THREADS)
     if pool is None:
-        # imported here, so that a run without an image stage does not load
-        # it and its imports (about 1 MB)
+        # imported here, so that a run without a multi-tile stage or a
+        # multi-block screen does not load it and its imports (about 1 MB)
         from concurrent.futures import ThreadPoolExecutor
         pool = _pools[STAGE_THREADS] = ThreadPoolExecutor(STAGE_THREADS - 1, "localtriplet-stage")
     left = Counter(job.group for job in jobs if job.group is not None)   # unfinished, per group

@@ -80,7 +80,8 @@ def check_optimal_condition(embeddings, labels, k: int, c_b: float, eps: float
         raise ValueError(f"k_exceeds_n: k={k}, n={n}")
     classes = Classes(labels)
     d_ak, max_pos, min_neg = np.empty((3, n))
-    for blk in class_screen(x, classes):
+
+    def block(blk):
         rows = blk.layout.ids[blk.lo:blk.hi]
         keep, below = blk.condition_keep(k)
         cols, dists = blk.candidates(keep, "euclidean")
@@ -93,6 +94,7 @@ def check_optimal_condition(embeddings, labels, k: int, c_b: float, eps: float
         max_pos[rows] = np.max(np.where(peer & np.isfinite(dists), dists, -np.inf), axis=1)
         min_neg[rows] = np.min(np.where(peer, np.inf, dists), axis=1)
 
+    class_screen(x, classes).each(block)
     checked = classes.count[classes.of] >= k + 1
     # an infinite (overflowed) d_ak beside no finite positive gives NaN,
     # which fails every comparison; callers check d_ak for overflow

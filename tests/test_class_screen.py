@@ -11,21 +11,39 @@ classes) and the full-row fallback (overlapping classes) at work. The
 optimal-condition check's band, which counts the columns that surely rank
 before the kth instead of recomputing them, is checked by its
 recomputations per anchor and on integer-grid sets with duplicates.
+
+Every caller runs the screen's row blocks on the stage pool
+(network.STAGE_THREADS threads). The block edges depend on n and
+knn.BLOCK_ELEMENTS alone and each block writes only its own rows, so every
+result, and every file of a CLI run, must keep its bits at any pool size;
+and since each block sets its own error state, points whose squared norms
+overflow must give no warning on any thread.
 """
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from localtriplet import knn
-from localtriplet.knn import build_index, class_screen, take_snapshot
+from localtriplet import knn, network
+from localtriplet.cli import main
+from localtriplet.knn import build_index, class_screen, take_snapshot, topk
 from localtriplet.mining import mine_hard, trainable_anchors
-from localtriplet.verify import check_optimal_condition
+from localtriplet.verify import check_optimal_condition, purity_check
 from oracles import (
     exhaustive_condition_terms,
     exhaustive_mine_hard,
     exhaustive_snapshot,
+    exhaustive_topk,
 )
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The stage pools made during the test, shut down after it."""
+    monkeypatch.setattr(network, "_pools", {})
+    yield
+    for pool in network._pools.values():
+        pool.shutdown()
 
 
 def _assert_same(actual, expected):
@@ -250,3 +268,134 @@ def test_label_count_must_match_points(caller):
             mine_hard(pts, labels, np.arange(8))
         else:
             check_optimal_condition(pts, labels, 2, c_b=1.0, eps=0.0)
+
+
+def _kernel_results(pts, labels, queries, k):
+    """Every result of the kernel's callers on one set: topk's ids and
+    dists (queries, and the set without each point itself), the snapshot's
+    arrays and candidates, the optimal-condition check's d_ak, max_pos and
+    violations, purity's anchors and statuses, and the batch-hard rows."""
+    n = labels.size
+    snap = take_snapshot(build_index(pts, labels), k)
+    report = check_optimal_condition(pts, labels, k, c_b=1.5, eps=1e-3)
+    purity = purity_check(pts, labels, queries, k)
+    return [*topk(queries, pts, k), *topk(pts, pts, k, exclude=np.arange(n)),
+            snap.neighbor_ids, snap.d_ak, snap.d_ak_pos, snap.has_positive, snap.candidates,
+            report.d_ak, report.max_pos,
+            [(v.anchor, v.residual, v.d_ak, v.max_pos_dist, v.min_neg_dist)
+             for v in report.violations],
+            purity.nearest_anchor, purity.query_status,
+            mine_hard(pts, labels, trainable_anchors(labels))]
+
+
+def _exhaustive_results(pts, labels, queries, k):
+    """_kernel_results from the exhaustive scans of oracles.py, with None
+    for the snapshot's candidates, which the scan does not count."""
+    n = labels.size
+    d_ak, max_pos, min_neg = exhaustive_condition_terms(pts, labels, k)
+    rhs = max_pos + 1.5 * d_ak + 1e-3
+    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    checked = counts[inverse] >= k + 1
+    ids, dists = exhaustive_topk(queries, pts, k)
+    radius = exhaustive_topk(pts, pts, k, exclude=np.arange(n))[1][:, -1]
+    anchors = ids[:, 0]
+    pure = np.all(labels[ids] == labels[anchors][:, None], axis=1)
+    status = np.where(dists[:, 0] > radius[anchors], "outlier",
+                      np.where(pure, "pure", "impure")).tolist()
+    return [ids, dists, *exhaustive_topk(pts, pts, k, exclude=np.arange(n)),
+            *exhaustive_snapshot(pts, labels, k), None, d_ak, max_pos,
+            [(int(a), float(rhs[a] - min_neg[a]), float(d_ak[a]), float(max_pos[a]),
+              float(min_neg[a])) for a in np.flatnonzero(checked & (min_neg < rhs))],
+            anchors, status,
+            exhaustive_mine_hard(pts, labels, trainable_anchors(labels))]
+
+
+def _assert_equal(actual, expected):
+    for a, e in zip(actual, expected, strict=True):
+        if isinstance(e, np.ndarray):
+            assert np.array_equal(a, e, equal_nan=e.dtype.kind == "f")
+        elif e is not None:
+            assert a == e
+
+
+@pytest.mark.parametrize("k", [3, 14])
+def test_results_keep_their_bits_at_every_pool_size(monkeypatch, pools, k):
+    # two overlapping classes beside three far ones, so that blocks with and
+    # without the band, and with the full-row fallback, meet in one call;
+    # 13-row blocks: 16 of them, the last of 5 rows, each class over several
+    pts, labels = _blobs(spacing=0.05)
+    far = labels >= 2
+    pts[far] += 1e3 * labels[far, None]
+    queries = np.concatenate([pts[::4] + 0.01, pts[:7]])
+    monkeypatch.setattr(knn, "BLOCK_ELEMENTS", 13 * labels.size + 7)
+    sizes = [blk.hi - blk.lo for blk in class_screen(pts, labels)]
+    assert sizes == [13] * 15 + [5]
+    spans = [np.unique(labels[blk.layout.ids[blk.lo:blk.hi]]).size
+             for blk in class_screen(pts, labels)]
+    assert max(spans) == 2
+    results = []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(network, "STAGE_THREADS", threads)
+        results.append(_kernel_results(pts, labels, queries, k))
+    assert list(network._pools) == [2, 3]
+    _assert_equal(results[0], _exhaustive_results(pts, labels, queries, k))
+    for other in results[1:]:
+        _assert_equal(other, results[0])
+
+
+# each caller on points and labels at k
+CALLERS = {
+    "topk": lambda pts, labels, k: topk(pts, pts, k, exclude=np.arange(labels.size)),
+    "take_snapshot": lambda pts, labels, k: take_snapshot(build_index(pts, labels), k),
+    "check_optimal_condition":
+        lambda pts, labels, k: check_optimal_condition(pts, labels, k, c_b=3.0, eps=1e-3),
+    "mine_hard": lambda pts, labels, k: mine_hard(pts, labels, trainable_anchors(labels)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("rows", [None, 7])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("caller", list(CALLERS))
+def test_overflowing_points_warn_on_no_thread(monkeypatch, pools, caller, dim, rows, threads):
+    # squared norms near the float64 maximum (the overflow kind of
+    # test_screened_knn.py): estimates, windows and some pinned distances
+    # overflow, and every block's arithmetic runs in the block's error
+    # state; in one block, or in 7-row blocks
+    n = 40
+    pts = np.sqrt(1e308 / (2 * dim)) * np.random.default_rng(dim).standard_normal((n, dim))
+    labels = np.arange(n) % 3
+    labels[0], labels[1:3] = 7, 5
+    monkeypatch.setattr(network, "STAGE_THREADS", threads)
+    if rows is not None:
+        monkeypatch.setattr(knn, "BLOCK_ELEMENTS", rows * n + 3)
+    for k in (1, 2, 3):
+        CALLERS[caller](pts, labels, k)
+
+
+# three overlapping blob classes, so that verify finds violations
+CLI_ARGS = ["--data", "blobs", "--classes", "3", "--per-class", "60", "--dim", "6",
+            "--spacing", "1", "--std", "0.5", "--data-seed", "5", "--val-fraction", "0.2",
+            "--epochs", "3", "--convergence-eps", "0", "--seed", "6", "--lr", "0.001"]
+CLI_FILES = ["epochs.jsonl", "checkpoint.npz", "eval_report.json", "verify_summary.json",
+             "violations.csv", "purity.csv"]
+
+
+def test_cli_files_keep_their_bytes_at_every_pool_size(tmp_path, monkeypatch, pools):
+    # lm_mining takes a snapshot every epoch and scores its validation
+    # split; eval and verify run topk, the check and purity. In blocks of
+    # about 8 rows at pool sizes 1 and 2, and in whole-set blocks
+    files = {}
+    for name, threads, elements in (("one", 1, 1000), ("two", 2, 1000),
+                                    ("whole", 2, knn.BLOCK_ELEMENTS)):
+        monkeypatch.setattr(network, "STAGE_THREADS", threads)
+        monkeypatch.setattr(knn, "BLOCK_ELEMENTS", elements)
+        out = tmp_path / name
+        assert main(["train", "--method", "lm_mining", *CLI_ARGS, "--out-dir", str(out)]) == 0
+        assert main(["eval", "--run-dir", str(out)]) == 0
+        assert main(["verify", "--run-dir", str(out)]) == 0
+        files[name] = {f: (out / f).read_bytes() for f in CLI_FILES}
+    assert list(network._pools) == [2]
+    assert files["one"]["violations.csv"].count(b"\n") > 1
+    assert files["one"] == files["two"] == files["whole"]

@@ -5,7 +5,8 @@ gradient is complete. Each tile writes only its own rows and each
 parameter gradient is one whole-batch GEMM, so every result must keep its
 bytes at any pool size; a failing job must surface in the caller with no
 job left running or started after it, and a run without a multi-tile
-stage must start no thread."""
+stage or a multi-block screen must start no thread. The neighbor kernel's
+row blocks (knn.Screen.each) run on the same pool, under the same rules."""
 import sys
 import threading
 import time
@@ -14,7 +15,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from localtriplet import network
+from localtriplet import knn, network
 from localtriplet.data import Dataset
 from localtriplet.network import (
     EmbeddingNet,
@@ -188,6 +189,90 @@ def test_multi_tile_stage_starts_one_helper_once(monkeypatch):
             net.backward(caches, np.ones_like(emb))
         assert threading.active_count() == before + 1
         assert list(network._pools) == [2]
+    finally:
+        for pool in network._pools.values():
+            pool.shutdown()
+
+
+def _points(n=200):
+    """200 points of 4 classes, and their 16 screen blocks at 13 rows each."""
+    rng = np.random.default_rng(11)
+    return rng.standard_normal((n, 5)), np.arange(n) % 4
+
+
+def test_multi_block_screen_starts_one_helper_once(monkeypatch):
+    monkeypatch.setattr(network, "STAGE_THREADS", 2)
+    monkeypatch.setattr(network, "_pools", {})
+    monkeypatch.setattr(knn, "BLOCK_ELEMENTS", 13 * 200)
+    pts, _ = _points()
+    before = threading.active_count()
+    try:
+        one = knn.topk(pts, pts, 5)
+        pool = network._pools[2]
+        assert threading.active_count() == before + 1
+        two = knn.topk(pts, pts, 5)
+        assert network._pools == {2: pool}
+        assert threading.active_count() == before + 1
+        for a, b in zip(one, two):
+            assert np.array_equal(a, b)
+    finally:
+        for pool in network._pools.values():
+            pool.shutdown()
+
+
+@pytest.mark.parametrize("nth", [1, 4, 9])
+def test_failing_screen_block_raises_in_caller(monkeypatch, nth):
+    # the nth block to recompute its candidates fails: the error reaches the
+    # caller, the block in flight on the other thread finishes first, and
+    # no block starts after the failure
+    monkeypatch.setattr(network, "STAGE_THREADS", 2)
+    monkeypatch.setattr(network, "_pools", {})
+    monkeypatch.setattr(knn, "BLOCK_ELEMENTS", 13 * 200)
+    pts, labels = _points()
+    lock = threading.Lock()
+    state = {"started": 0, "pinned": 0, "running": 0}
+    error = RuntimeError("block failed")
+    inner_block, inner_pinned = knn.ScreenBlock, knn._pinned
+
+    class CountedBlock(inner_block):
+        def __init__(self, *args):
+            with lock:
+                state["started"] += 1
+            super().__init__(*args)
+
+    def pinned(*args):
+        with lock:
+            state["pinned"] += 1
+            if state["pinned"] == nth:
+                raise error
+            state["running"] += 1
+        try:
+            time.sleep(0.002)
+            return inner_pinned(*args)
+        finally:
+            with lock:
+                state["running"] -= 1
+
+    monkeypatch.setattr(knn, "ScreenBlock", CountedBlock)
+    monkeypatch.setattr(knn, "_pinned", pinned)
+    try:
+        for call in (lambda: knn.topk(pts, pts, 5),
+                     lambda: knn.take_snapshot(knn.build_index(pts, labels), 5)):
+            state.update(started=0, pinned=0)
+            with pytest.raises(RuntimeError) as raised:
+                call()
+            assert raised.value is error
+            assert state["running"] == 0
+            started = state["started"]
+            time.sleep(0.05)
+            # each block recomputes once; at most the other thread's block
+            # in flight started after the failing one
+            assert state["started"] == started <= nth + 1 < 16
+            assert state["pinned"] == started
+        # the next call runs every block again
+        monkeypatch.setattr(knn, "_pinned", inner_pinned)
+        assert knn.topk(pts, pts, 5)[0].shape == (200, 5)
+        assert state["started"] > 16
     finally:
         for pool in network._pools.values():
             pool.shutdown()
