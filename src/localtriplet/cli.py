@@ -184,14 +184,29 @@ def _read_config_file(path, names) -> dict:
 
 
 def _trained_options(run: Path) -> dict:
-    """The options recorded in the run's manifest.json config."""
+    """The options recorded in the run's manifest.json config. Each value is
+    null, or of its option's type (an int passes for a float, a bool for
+    neither) and one of its choices; DataError, naming the key, otherwise."""
     manifest = run / "manifest.json"
     if not manifest.exists():
         return {}
     try:
-        return json.loads(manifest.read_text()).get("config") or {}
+        payload = json.loads(manifest.read_text())
     except (OSError, ValueError) as err:
         raise DataError(f"unreadable manifest: {manifest} ({err})") from err
+    config = (payload.get("config") or {}) if isinstance(payload, dict) else None
+    if not isinstance(config, dict):
+        raise DataError(f"unreadable manifest: {manifest} (its config is not an object)")
+    for key, value in config.items():
+        opt = OPTIONS.get(key)
+        if opt is None or value is None:
+            continue
+        types = (int, float) if opt.type is float else (opt.type,)
+        if type(value) not in types or (opt.choices and value not in opt.choices):
+            expected = f"one of {opt.choices}" if opt.choices else f"of type {opt.type.__name__}"
+            raise DataError(f"unreadable manifest: {manifest} "
+                            f"(config {key} = {value!r} is not {expected})")
+    return config
 
 
 def _resolve(ns: argparse.Namespace, run: Path | None = None):

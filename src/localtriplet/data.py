@@ -23,6 +23,7 @@ from .atomic import atomic_open
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CACHE_FORMAT_VERSION = 1
+BLOB_CENTER_TRIES = 200     # make_blobs' draws per center before packing_failed
 
 
 @dataclass
@@ -228,19 +229,19 @@ def check_blob_config(classes: int, per_class: int, dim: int, spacing: float,
 
 
 def make_blobs(classes: int, per_class: int, dim: int, spacing: float,
-               std: float, seed: int, max_tries: int = 200) -> Dataset:
+               std: float, seed: int) -> Dataset:
     """Isotropic Gaussian clusters with pairwise center distance >= spacing.
 
     Centers are drawn uniformly in a box of side spacing * classes and
     rejected until far enough apart; impossible packings raise after
-    `max_tries` draws per center.
+    BLOB_CENTER_TRIES draws per center.
     """
     check_blob_config(classes, per_class, dim, spacing, std)
     rng = np.random.default_rng(seed)
     side = spacing * classes
     centers = []
     for _ in range(classes):
-        for attempt in range(max_tries):
+        for _attempt in range(BLOB_CENTER_TRIES):
             cand = rng.uniform(0.0, side, size=dim)
             if all(np.linalg.norm(cand - c) >= spacing for c in centers):
                 centers.append(cand)
@@ -269,10 +270,16 @@ def save_dataset(path, dataset: Dataset) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """A save_dataset cache; meta it cannot interpret raises
+    ValueError("bad_cache: ...")."""
     # np.load(path) leaks the file it opens when one that starts as a zip is cut short
     with open(path, "rb") as f, np.load(f) as z:
         meta = json.loads(bytes(z["meta"]).decode())
-        if meta.get("cache_format_version") != CACHE_FORMAT_VERSION:
-            raise ValueError(f"bad_cache: version {meta.get('cache_format_version')}")
-        return Dataset(z["samples"], z["labels"], tuple(meta["sample_shape"]),
-                       meta["split"], meta["normalization"])
+        version = meta.get("cache_format_version") if isinstance(meta, dict) else None
+        if version != CACHE_FORMAT_VERSION:
+            raise ValueError(f"bad_cache: version {version}")
+        try:
+            return Dataset(z["samples"], z["labels"], tuple(meta["sample_shape"]),
+                           meta["split"], meta["normalization"])
+        except TypeError as err:     # a value of the wrong JSON type
+            raise ValueError(f"bad_cache: {err}") from err

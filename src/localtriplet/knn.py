@@ -452,36 +452,22 @@ class Screen:
     window: np.ndarray          # (m,) 2 * B_i
     rows: int
 
-    def _buffer(self) -> np.ndarray:
-        """Estimates for one block: a thread's scratch, reused by its blocks."""
-        return np.empty((min(self.rows, self.q.shape[0]), self.p.shape[0]))
-
-    def __iter__(self):
-        """The ScreenBlocks in order, in one estimate buffer that each block
-        overwrites; the caller's error state holds between blocks, not the
-        block's."""
-        buf = self._buffer()
-        for lo in range(0, self.q.shape[0], self.rows):
-            with np.errstate(**_QUIET):
-                blk = ScreenBlock(self, lo, buf)
-            yield blk
-
     def each(self, fn) -> list:
-        """[fn(blk) for blk in self], the blocks run on the stage pool
-        (network._each: the caller and STAGE_THREADS - 1 helpers, inline for
-        one block). Each block makes its estimates in its thread's buffer and
-        runs, GEMM and fn alike, under the block error state; fn writes only
-        its block's rows of its outputs. The first error of any block is
+        """[fn(blk) for each ScreenBlock in order], the blocks run on the stage
+        pool (network._each: the caller and STAGE_THREADS - 1 helpers, inline
+        for one block). Each block makes its estimates in its thread's buffer
+        and runs, GEMM and fn alike, under the block error state; fn writes
+        only its block's rows of its outputs. The first error of any block is
         raised here, and no block starts after it."""
         starts = range(0, self.q.shape[0], self.rows)
         out = [None] * len(starts)
-        free = []   # buffers between blocks: at most one per thread is made
+        free = []   # estimate buffers between blocks: at most one per thread is made
 
         def run(i):
             try:
                 buf = free.pop()
             except IndexError:
-                buf = self._buffer()
+                buf = np.empty((min(self.rows, self.q.shape[0]), self.p.shape[0]))
             with np.errstate(**_QUIET):
                 out[i] = fn(ScreenBlock(self, starts[i], buf))
             free.append(buf)
@@ -605,18 +591,12 @@ class NeighborhoodSnapshot:
     other sample get has_positive False and NaN d_ak_pos.
     """
 
-    epoch: int
-    k: int
     d_ak: np.ndarray          # (n,) float64, Euclidean
     d_ak_pos: np.ndarray      # (n,) float64, Euclidean; NaN if no positive
     neighbor_ids: np.ndarray  # (n, k) int64, ascending (distance, id)
     has_positive: np.ndarray  # (n,) bool
     # exact distance recomputations per anchor: how tight the screen was
     candidates: float = field(default=0.0, compare=False)
-
-    @property
-    def n(self) -> int:
-        return self.d_ak.shape[0]
 
     def mean_d_ak(self) -> float:
         return float(np.mean(self.d_ak))
@@ -630,7 +610,7 @@ class NeighborhoodSnapshot:
         return float(np.mean(usable)) if usable.size else None
 
 
-def take_snapshot(index: NeighborIndex, k: int, epoch: int = 0) -> NeighborhoodSnapshot:
+def take_snapshot(index: NeighborIndex, k: int) -> NeighborhoodSnapshot:
     """Freeze every anchor's neighborhood at the start of an epoch.
 
     Per block of the class-sorted screen, one compare keeps the candidates
@@ -664,6 +644,5 @@ def take_snapshot(index: NeighborIndex, k: int, epoch: int = 0) -> NeighborhoodS
     recomputed = sum(class_screen(index.points, classes).each(block))
     for arr in (d_ak, d_ak_pos, neighbor_ids, has_positive):
         arr.setflags(write=False)
-    return NeighborhoodSnapshot(epoch=epoch, k=k, d_ak=d_ak, d_ak_pos=d_ak_pos,
-                                neighbor_ids=neighbor_ids, has_positive=has_positive,
-                                candidates=recomputed / n)
+    return NeighborhoodSnapshot(d_ak=d_ak, d_ak_pos=d_ak_pos, neighbor_ids=neighbor_ids,
+                                has_positive=has_positive, candidates=recomputed / n)

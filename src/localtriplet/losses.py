@@ -117,36 +117,28 @@ def combined_loss(
     xn: np.ndarray,
     weights: LossWeights,
     d_ak_pos: np.ndarray | None = None,
-    margin: str = "local",
 ):
     """Batch loss: w_lm * sum(hinge) + w_ms*mu_s - w_md*mu_d + w_ss*var_s + w_sd*var_d.
 
-    Hinges use the local margin (requires per-anchor ``d_ak_pos``) or the
-    fixed margin from ``weights``. Moments are taken over this batch's
-    squared distances. Returns
-    (value, grad_a, grad_p, grad_n, BatchStats, active_mask); the value
-    can be negative through the -w_md*mu_d term. Gradients are per
+    Hinges use the local margin c_b * d_ak_pos + eps given per-anchor
+    ``d_ak_pos`` (an epoch's snapshot), else the fixed margin from
+    ``weights``. Moments are taken over this batch's squared distances.
+    Returns (value, grad_a, grad_p, grad_n, BatchStats, active_mask); the
+    value can be negative through the -w_md*mu_d term. Gradients are per
     triplet role; callers accumulate them per unique sample.
     """
     if np.ndim(xa) != 2 or np.shape(xa)[0] == 0:
         raise ValueError("empty_batch: need at least one triplet")
     xa, xp, xn = _check_triplet_dims(xa, xp, xn)
     b = xa.shape[0]
-
-    if margin == "local":
-        if d_ak_pos is None:
-            raise ValueError("missing_d_ak_pos: local margin requires snapshot distances")
-        d_ak_pos = np.asarray(d_ak_pos, dtype=np.float64)
-        if d_ak_pos.shape != (b,):
-            raise ValueError(f"dim_mismatch: d_ak_pos {d_ak_pos.shape} vs batch {b}")
-        if np.any(d_ak_pos < 0.0) or not np.all(np.isfinite(d_ak_pos)):
-            raise ValueError("negative_d_ak_pos: snapshot distances must be finite and >= 0")
-        margins = weights.c_b * d_ak_pos + weights.eps
-    elif margin == "fixed":
-        margins = np.full(b, weights.fixed_margin_m)
-    else:
-        raise ValueError(f"bad_margin_kind: {margin}")
-    return _batch_loss(xa, xp, xn, margins, weights)
+    if d_ak_pos is None:
+        return _batch_loss(xa, xp, xn, np.full(b, weights.fixed_margin_m), weights)
+    d_ak_pos = np.asarray(d_ak_pos, dtype=np.float64)
+    if d_ak_pos.shape != (b,):
+        raise ValueError(f"dim_mismatch: d_ak_pos {d_ak_pos.shape} vs batch {b}")
+    if np.any(d_ak_pos < 0.0) or not np.all(np.isfinite(d_ak_pos)):
+        raise ValueError("negative_d_ak_pos: snapshot distances must be finite and >= 0")
+    return _batch_loss(xa, xp, xn, weights.c_b * d_ak_pos + weights.eps, weights)
 
 
 def _batch_loss(xa, xp, xn, margins, w: LossWeights):

@@ -148,6 +148,7 @@ CHECKPOINT_FORMAT_VERSION = 1
 TILE_BYTES = 1 << 21   # largest per-image tensor of an image-stage tile, in bytes
 MIN_GEMM_ROWS = 4      # fewer rows take another BLAS path, with other bits
 EMBED_ROWS = 512       # embed runs the stack on chunks of this many samples
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _pin_blas() -> int | None:
@@ -258,8 +259,8 @@ def _activation_backward(g: np.ndarray, mask) -> np.ndarray:
 
 class _ImageLayer:
     """A conv or pool layer of the image stage. It runs a batch as a
-    one-layer stage; the stage calls new_cache, forward_tile,
-    backward_tile and param_grads itself."""
+    one-layer stage; the stage calls new_cache, forward_tile and
+    backward_tile itself, and a conv's param_grads."""
 
     params: list = []
 
@@ -273,9 +274,6 @@ class _ImageLayer:
     def grad_buffer(self, n: int, dtype, alloc):
         """The whole-batch array backward_tile fills for param_grads."""
         return None
-
-    def param_grads(self, cache, g_z) -> list:
-        return []
 
 
 class _Conv2d(_ImageLayer):
@@ -830,15 +828,12 @@ def softmax_head_loss(embeddings, labels, head: SoftmaxHead):
 
 class Adam:
     """Bias-corrected Adam; update is -lr * m_hat / (sqrt(v_hat) + eps), made
-    in place on the arrays it is built with (`params`), one pass per array."""
+    in place on the arrays it is built with (`params`), one pass per array,
+    with beta1 = ADAM_BETA1, beta2 = ADAM_BETA2 and eps = ADAM_EPS."""
 
-    def __init__(self, params: list[np.ndarray], lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[np.ndarray], lr: float = 1e-4):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -851,22 +846,22 @@ class Adam:
             if p.shape != g.shape:
                 raise ValueError(f"shape_mismatch: grad {g.shape} for param {p.shape}")
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
             # m += (1 - b1) * g; v += (1 - b2) * g * g;
             # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in that operation order
             p, g, m, v = np.atleast_1d(p, g, m, v)   # 0-d: g * c would be a scalar, no out=
-            m *= self.beta1
-            t = g * (1.0 - self.beta1)
+            m *= ADAM_BETA1
+            t = g * (1.0 - ADAM_BETA1)
             m += t
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=t)
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=t)
             t *= g
             v += t
             np.divide(v, c2, out=t)
             np.sqrt(t, out=t)
-            t += self.eps
+            t += ADAM_EPS
             u = m / c1
             u *= self.lr
             u /= t
@@ -890,15 +885,20 @@ def save_checkpoint(path, net: EmbeddingNet, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[EmbeddingNet, dict]:
-    """Rebuild an EmbeddingNet from a checkpoint; returns (net, extra-meta)."""
+    """Rebuild an EmbeddingNet from a checkpoint; returns (net, extra-meta).
+    Meta it cannot interpret raises ValueError("bad_checkpoint: ...")."""
     # np.load(path) leaks the file it opens when one that starts as a zip is cut short
     with open(path, "rb") as f, np.load(f) as z:
         meta = json.loads(bytes(z["meta"]).decode())
-        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"bad_checkpoint: format_version {meta.get('format_version')}")
-        specs = [LayerSpec(**s) for s in meta["layers"]]
+        version = meta.get("format_version") if isinstance(meta, dict) else None
+        if version != CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(f"bad_checkpoint: format_version {version}")
         count = sum(name.startswith("param_") for name in z.files)
+        params = [z[f"param_{i:03d}"] for i in range(count)]
+    try:
+        specs = [LayerSpec(**s) for s in meta["layers"]]
         net = EmbeddingNet(meta["input_shape"], specs, seed=meta["seed"],
-                           dtype=meta.get("dtype", "float64"),
-                           params=[z[f"param_{i:03d}"] for i in range(count)])
+                           dtype=meta.get("dtype", "float64"), params=params)
+    except TypeError as err:     # a value of the wrong JSON type
+        raise ValueError(f"bad_checkpoint: {err}") from err
     return net, meta.get("extra", {})

@@ -126,13 +126,13 @@ def _batched(seq, size):
         yield seq[lo:lo + size]
 
 
-def _triplet_grad(emb, rows, d_ak_pos, weights, margin):
+def _triplet_grad(emb, rows, d_ak_pos, weights):
     """(loss value, gradient with respect to emb, number of active hinges)
     of the combined loss on a triplet batch; rows is an (m, 3) array of
     (anchor, positive, negative) row indices into emb."""
     ra, rp, rn = rows.T
     value, ga, gp, gn, _, active = combined_loss(
-        emb[ra], emb[rp], emb[rn], weights, d_ak_pos=d_ak_pos, margin=margin)
+        emb[ra], emb[rp], emb[rn], weights, d_ak_pos=d_ak_pos)
     grad_emb = np.zeros_like(emb)
     np.add.at(grad_emb, ra, ga)
     np.add.at(grad_emb, rp, gp)
@@ -187,7 +187,7 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
         if embedded is None:
             embedded = embed_finite(net, dataset, f"at the start of epoch {epoch}")
         t1 = clock()
-        snapshot = take_snapshot(build_index(embedded, labels, metric="euclidean"), k, epoch)
+        snapshot = take_snapshot(build_index(embedded, labels, metric="euclidean"), k)
         phases["embed"], phases["snapshot"] = t1 - t0, clock() - t1
         # finite embeddings can still overflow their squared distances
         if not (np.all(np.isfinite(snapshot.d_ak))
@@ -212,7 +212,6 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
             triplets = mine_uniform(labels, anchors, rng)
         phases["mine"] = clock() - t1
         batches = _batched(triplets, config.batch_size)
-    margin = "local" if method in _SNAPSHOT_METHODS else "fixed"
 
     batch_losses: list[float] = []
     n_triplets = 0
@@ -233,7 +232,7 @@ def run_epoch(net: EmbeddingNet, config: TrainConfig, dataset: Dataset,
             value, grad_emb, grads = softmax_head_loss(emb, labels[ids], head)
         elif rows.size:
             d_pos = snapshot.d_ak_pos[ids[rows[:, 0]]] if snapshot is not None else None
-            value, grad_emb, active = _triplet_grad(emb, rows, d_pos, config.weights, margin)
+            value, grad_emb, active = _triplet_grad(emb, rows, d_pos, config.weights)
             grads = []
             n_triplets += len(rows)
             n_active += active

@@ -141,8 +141,8 @@ def test_blocks_span_classes_and_classes_span_blocks(monkeypatch, k, rows):
     labels = _shuffled_labels([4, 5, 3, 48], [2, 3, 5, 8], seed=5)
     pts = rng.standard_normal((labels.size, 4))
     monkeypatch.setattr("localtriplet.knn.BLOCK_ELEMENTS", rows * labels.size)
-    blocks = [np.unique(labels[blk.layout.ids[blk.lo:blk.hi]])
-              for blk in class_screen(pts, labels)]
+    blocks = class_screen(pts, labels).each(
+        lambda blk: np.unique(labels[blk.layout.ids[blk.lo:blk.hi]]))
     assert len(blocks) == -(-labels.size // rows)
     assert max(b.size for b in blocks) >= min(rows, 3)
     assert sum(8 in b for b in blocks) >= min(len(blocks), 3)
@@ -328,14 +328,14 @@ def test_results_keep_their_bits_at_every_pool_size(monkeypatch, pools, k):
     pts[far] += 1e3 * labels[far, None]
     queries = np.concatenate([pts[::4] + 0.01, pts[:7]])
     monkeypatch.setattr(knn, "BLOCK_ELEMENTS", 13 * labels.size + 7)
-    sizes = [blk.hi - blk.lo for blk in class_screen(pts, labels)]
-    assert sizes == [13] * 15 + [5]
-    spans = [np.unique(labels[blk.layout.ids[blk.lo:blk.hi]]).size
-             for blk in class_screen(pts, labels)]
-    assert max(spans) == 2
     results = []
     for threads in (1, 2, 3):
         monkeypatch.setattr(network, "STAGE_THREADS", threads)
+        sizes = class_screen(pts, labels).each(lambda blk: blk.hi - blk.lo)
+        assert sizes == [13] * 15 + [5]
+        spans = class_screen(pts, labels).each(
+            lambda blk: np.unique(labels[blk.layout.ids[blk.lo:blk.hi]]).size)
+        assert max(spans) == 2
         results.append(_kernel_results(pts, labels, queries, k))
     assert list(network._pools) == [2, 3]
     _assert_equal(results[0], _exhaustive_results(pts, labels, queries, k))

@@ -673,6 +673,60 @@ def test_corrupt_run_file_exit_3(tmp_path, capsys, finished_run, command, case):
     assert err.startswith("data error: unreadable run file: ") and name in err
 
 
+def _edited_meta(path, edit):
+    with np.load(path) as z:
+        meta = json.loads(bytes(z["meta"]).decode())
+    edit(meta)
+    _rewrite_npz(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+
+
+def _edited_manifest(path, edit):
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+# meta and manifest values of the wrong JSON type: (file, edit, what stderr
+# names besides the file, the commands that read the file)
+MALFORMED_RUN = {
+    "checkpoint-layer-key": ("checkpoint.npz", lambda m: m["layers"][0].update(bogus=1),
+                             "bogus", ("eval", "verify", "export-scatter")),
+    "checkpoint-seed-null": ("checkpoint.npz", lambda m: m.update(seed=None),
+                             "bad_checkpoint", ("eval", "verify", "export-scatter")),
+    "checkpoint-layers-int": ("checkpoint.npz", lambda m: m.update(layers=5),
+                              "bad_checkpoint", ("eval", "verify", "export-scatter")),
+    "train-sample-shape-int": ("train.npz", lambda m: m.update(sample_shape=3),
+                               "bad_cache", ("eval", "verify", "export-scatter")),
+    "manifest-k-str": ("manifest.json", lambda m: m["config"].update(k="5"),
+                       "config k = '5'", ("eval", "verify")),
+    "manifest-k-float": ("manifest.json", lambda m: m["config"].update(k=5.0),
+                         "config k = 5.0", ("eval", "verify")),
+    "manifest-k-bool": ("manifest.json", lambda m: m["config"].update(k=True),
+                        "config k = True", ("eval", "verify")),
+    "manifest-config-list": ("manifest.json", lambda m: m.update(config=[1]),
+                             "config is not an object", ("eval", "verify")),
+    "manifest-c-b-str": ("manifest.json", lambda m: m["config"].update(c_b="3"),
+                         "config c_b = '3'", ("verify",)),
+    "manifest-method-choice": ("manifest.json", lambda m: m["config"].update(method="lmm"),
+                               "config method = 'lmm'", ("eval", "verify")),
+}
+REPORTS = ("eval_report.json", "verify_summary.json", "violations.csv", "purity.csv",
+           "scatter.csv")
+
+
+@pytest.mark.parametrize("command, case", [
+    (command, case) for case, (*_, commands) in MALFORMED_RUN.items() for command in commands])
+def test_malformed_run_file_exit_3(tmp_path, capsys, finished_run, command, case):
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    name, edit, named, _ = MALFORMED_RUN[case]
+    (_edited_manifest if name.endswith(".json") else _edited_meta)(run / name, edit)
+    capsys.readouterr()
+    assert main([command, "--run-dir", str(run)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: unreadable ") and str(run / name) in err and named in err
+    assert not any((run / report).exists() for report in REPORTS)
+
+
 def _nan_weight(path):
     with np.load(path) as z:
         w = z["param_000"].copy()

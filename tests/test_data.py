@@ -192,7 +192,7 @@ def test_blobs_means_near_centers():
 
 def test_blobs_packing_failure():
     with pytest.raises(ValueError, match="packing_failed"):
-        make_blobs(50, 1, 1, spacing=10.0, std=0.1, seed=15, max_tries=50)
+        make_blobs(50, 1, 1, spacing=10.0, std=0.1, seed=15)
 
 
 def test_blobs_rejects_single_class():

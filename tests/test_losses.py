@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from localtriplet import losses
 from localtriplet.losses import (
     LossWeights,
     combined_loss,
@@ -119,13 +120,13 @@ def test_combined_degenerate_single_triplet_mu_s_only():
     w = LossWeights(w_lm=0.0, w_ms=1.0, w_md=0.0, w_ss=0.0, w_sd=0.0)
     x = np.zeros((1, 4))
     value, ga, gp, gn, stats, active = combined_loss(
-        x, x.copy(), x.copy(), w, d_ak_pos=np.zeros(1), margin="local")
+        x, x.copy(), x.copy(), w, d_ak_pos=np.zeros(1))
     assert value == 0.0
     assert np.all(ga == 0) and np.all(gp == 0) and np.all(gn == 0)
     assert stats.mu_s == 0.0
 
 
-def _fd_combined(xa, xp, xn, w, d_pos, margin):
+def _fd_combined(xa, xp, xn, w, d_pos):
     """FD over every coordinate of the flattened (a, p, n) batch."""
     b, dim = xa.shape
     packed = np.concatenate([xa.ravel(), xp.ravel(), xn.ravel()])
@@ -134,7 +135,7 @@ def _fd_combined(xa, xp, xn, w, d_pos, margin):
         a = flat[:b * dim].reshape(b, dim)
         p = flat[b * dim:2 * b * dim].reshape(b, dim)
         n = flat[2 * b * dim:].reshape(b, dim)
-        return combined_loss(a, p, n, w, d_ak_pos=d_pos, margin=margin)[0]
+        return combined_loss(a, p, n, w, d_ak_pos=d_pos)[0]
 
     return packed, fd_gradient(f, packed, h=1e-5)
 
@@ -149,14 +150,13 @@ def test_combined_gradients_match_fd(margin):
         xa = rng.standard_normal((b, dim))
         xp = rng.standard_normal((b, dim))
         xn = rng.standard_normal((b, dim))
-        d_pos = rng.uniform(0.0, 1.0, size=b)
+        d_pos = rng.uniform(0.0, 1.0, size=b) if margin == "local" else None
         margins = 3.0 * d_pos + 1e-3 if margin == "local" else np.full(b, 2.0)
         args = (np.sum((xa - xp) ** 2, 1) - np.sum((xa - xn) ** 2, 1) + margins)
         if np.any(np.abs(args) < 1e-2):
             continue
-        value, ga, gp, gn, _, _ = combined_loss(xa, xp, xn, w, d_ak_pos=d_pos,
-                                                margin=margin)
-        packed, ref = _fd_combined(xa, xp, xn, w, d_pos, margin)
+        value, ga, gp, gn, _, _ = combined_loss(xa, xp, xn, w, d_ak_pos=d_pos)
+        packed, ref = _fd_combined(xa, xp, xn, w, d_pos)
         got = np.concatenate([ga.ravel(), gp.ravel(), gn.ravel()])
         assert rel_err(got, ref) <= 1e-5
 
@@ -171,7 +171,7 @@ def test_combined_reference_weights_gradients():
     xn = rng.standard_normal((b, dim))
     d_pos = rng.uniform(0.1, 1.5, size=b)
     value, ga, gp, gn, _, _ = combined_loss(xa, xp, xn, w, d_ak_pos=d_pos)
-    packed, ref = _fd_combined(xa, xp, xn, w, d_pos, "local")
+    packed, ref = _fd_combined(xa, xp, xn, w, d_pos)
     got = np.concatenate([ga.ravel(), gp.ravel(), gn.ravel()])
     assert rel_err(got, ref) <= 1e-5
 
@@ -182,7 +182,7 @@ def test_combined_value_can_be_negative():
     xa = np.zeros((1, 2))
     xp = np.zeros((1, 2))
     xn = np.array([[10.0, 0.0]])
-    value, *_ = combined_loss(xa, xp, xn, w, margin="fixed")
+    value, *_ = combined_loss(xa, xp, xn, w)
     assert value < 0.0
 
 
@@ -193,11 +193,24 @@ def test_combined_empty_batch_rejected():
                       d_ak_pos=np.empty(0))
 
 
-def test_combined_requires_d_ak_pos_for_local():
-    w = LossWeights()
-    x = np.zeros((2, 3))
-    with pytest.raises(ValueError, match="missing_d_ak_pos"):
-        combined_loss(x, x, x, w, margin="local")
+def test_combined_margin_is_local_given_d_ak_pos_else_fixed():
+    # without d_ak_pos every hinge takes fixed_margin_m, with it c_b * d_ak_pos
+    # + eps: the same values and gradients, bit for bit, as the batch loss
+    # given those margins
+    rng = np.random.default_rng(105)
+    w = LossWeights(w_lm=10.0, w_ms=1.0, w_md=1.0, w_ss=0.5, w_sd=1.0,
+                    c_b=3.0, eps=1e-3, fixed_margin_m=2.0)
+    xa, xp, xn = (rng.standard_normal((16, 4)) for _ in range(3))
+    d_pos = rng.uniform(0.0, 1.0, size=16)
+    fixed = combined_loss(xa, xp, xn, w)
+    local = combined_loss(xa, xp, xn, w, d_ak_pos=d_pos)
+    for got, margins in ((fixed, np.full(16, 2.0)), (local, 3.0 * d_pos + 1e-3)):
+        want = losses._batch_loss(xa, xp, xn, margins, w)
+        assert got[0] == want[0] and got[4] == want[4]
+        for g, e in zip(got[1:4] + got[5:], want[1:4] + want[5:]):
+            assert np.array_equal(g, e)
+    # the two margins leave different hinges active here
+    assert not np.array_equal(fixed[5], local[5])
 
 
 # ------------------------------------------- per-triplet hinges vs oracle
@@ -297,8 +310,8 @@ def test_sd_term_literal_reading_constant():
     xa = rng.standard_normal((5, 3))
     xp = rng.standard_normal((5, 3))
     xn = rng.standard_normal((5, 3))
-    value_default, *_ = combined_loss(xa, xp, xn, w, margin="fixed")
-    _, _, _, _, stats, _ = combined_loss(xa, xp, xn, w, margin="fixed")
+    value_default, *_ = combined_loss(xa, xp, xn, w)
+    _, _, _, _, stats, _ = combined_loss(xa, xp, xn, w)
     assert value_default == pytest.approx(0.5 * stats.var_s + 2.0 * stats.var_d)
 
 

@@ -9,7 +9,6 @@ and norms large enough that the Gram estimate overflows. Since a window
 wider than needed passes those comparisons too, the rounding bound itself
 is checked on the same point sets.
 """
-import itertools
 
 import numpy as np
 import pytest
@@ -90,9 +89,8 @@ def test_estimates_within_half_the_window(kind, dim, blocks):
     # window, of its pinned squared distance; the own column's -inf is left out
     pts = _points(kind, dim)
     queries = np.concatenate([_points(kind, dim, seed=1)[:9], pts[:4], np.zeros((1, dim))])
-    checked = 0
-    for blk in itertools.chain(screen(queries, pts), screen(pts, pts, np.arange(N)),
-                               class_screen(pts, _labels())):
+
+    def check(blk):
         pinned = np.concatenate([d for _lo, _hi, d in distance_blocks(
             blk.q[blk.lo:blk.hi], blk.p, metric="sq_euclidean")])
         rows = np.isfinite(blk.window)
@@ -101,7 +99,10 @@ def test_estimates_within_half_the_window(kind, dim, blocks):
             keep[blk.own] = False
         half = np.broadcast_to(blk.window[:, None] / 2, keep.shape)
         assert np.all(np.abs(blk.est - pinned)[keep] <= half[keep])
-        checked += np.count_nonzero(rows)
+        return np.count_nonzero(rows)
+
+    checked = sum(sum(scr.each(check)) for scr in (
+        screen(queries, pts), screen(pts, pts, np.arange(N)), class_screen(pts, _labels())))
     # squared norms near the float64 maximum give every row an infinite window
     assert checked == 0 if kind == "overflow" else checked == 2 * N + 14
 

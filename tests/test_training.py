@@ -472,7 +472,7 @@ def _epoch_in_new_arrays(net, config, ds, rng, adam, head):
     else:
         k = training_mod.resolve_k(config, ds.n)
         snapshot = take_snapshot(build_index(net.embed(ds.samples), labels,
-                                             metric="euclidean"), k, 0)
+                                             metric="euclidean"), k)
         anchors = trainable_anchors(labels)
         anchors = anchors[rng.permutation(anchors.size)]
         triplets = mine_local(snapshot.neighbor_ids, labels, anchors, rng)
@@ -493,7 +493,7 @@ def _epoch_in_new_arrays(net, config, ds, rng, adam, head):
                 continue
             d_pos = snapshot.d_ak_pos[ids[rows[:, 0]]] if snapshot else None
             value, grad_emb, active = training_mod._triplet_grad(
-                emb, rows, d_pos, config.weights, "local" if snapshot else "fixed")
+                emb, rows, d_pos, config.weights)
             head_grads = []
             n_triplets += len(rows)
             n_active += active
