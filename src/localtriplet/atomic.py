@@ -9,14 +9,14 @@ from contextlib import contextmanager
 @contextmanager
 def atomic_open(path, mode: str = "wb", newline: str | None = None):
     """Open a temporary file beside path; os.replace it onto path on a
-    clean exit, delete it otherwise. newline is passed to open (csv
-    writers need newline="")."""
+    clean exit, delete it otherwise, a failed replace included. newline is
+    passed to open (csv writers need newline="")."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     f = open(tmp, mode, newline=newline)
     try:
         with f:
             yield f
+        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-    os.replace(tmp, path)

@@ -579,7 +579,8 @@ def cmd_fetch_mnist(ns: argparse.Namespace) -> int:
         if len(payload) != expected_size:
             raise DataError(f"size mismatch for {name}.gz: "
                             f"{len(payload)} != {expected_size}")
-        target.write_bytes(payload)
+        with atomic_open(target) as f:
+            f.write(payload)
         print(f"wrote {target} ({expected_size} bytes)")
     return 0
 

@@ -134,17 +134,20 @@ def _read_exact(f, count: int, path) -> bytes:
 
 
 def _read_idx(path, expected_magic: int, expected_dims: int) -> np.ndarray:
-    with _open_maybe_gz(path) as f:
-        (magic,) = struct.unpack(">i", _read_exact(f, 4, path))
-        if magic != expected_magic:
-            raise ValueError(f"bad_magic: {path} has magic {magic:#010x}, "
-                             f"expected {expected_magic:#010x}")
-        dims = struct.unpack(f">{expected_dims}i", _read_exact(f, 4 * expected_dims, path))
-        total = int(np.prod(dims))
-        raw = _read_exact(f, total, path)
-        if f.read(1):
-            raise ValueError(f"truncated_file: {path} has trailing bytes beyond header count")
-        return np.frombuffer(raw, dtype=np.uint8).reshape(dims)
+    try:
+        with _open_maybe_gz(path) as f:
+            (magic,) = struct.unpack(">i", _read_exact(f, 4, path))
+            if magic != expected_magic:
+                raise ValueError(f"bad_magic: {path} has magic {magic:#010x}, "
+                                 f"expected {expected_magic:#010x}")
+            dims = struct.unpack(f">{expected_dims}i", _read_exact(f, 4 * expected_dims, path))
+            total = int(np.prod(dims))
+            raw = _read_exact(f, total, path)
+            if f.read(1):
+                raise ValueError(f"truncated_file: {path} has trailing bytes beyond header count")
+    except EOFError as err:     # a gzip stream cut short
+        raise ValueError(f"truncated_file: {path} ({err})") from err
+    return np.frombuffer(raw, dtype=np.uint8).reshape(dims)
 
 
 def load_mnist_idx(images_path, labels_path) -> Dataset:

@@ -110,18 +110,22 @@ scaling, and the terms na_i * 1 and 1 * nb_j are exact products.
 
 Blocks and threads. A screen's row blocks hold BLOCK_ELEMENTS // n query
 rows each (one at least, the last the rest), so their edges depend on n and
-BLOCK_ELEMENTS alone. Screen.each runs them on the image stage's pool,
-network._each: STAGE_THREADS threads, the caller's included, and none
-started for one block or a pool of one. Each block makes its estimates
-with its own GEMM into its thread's buffer and writes only its own rows of
-the caller's outputs.
+BLOCK_ELEMENTS alone: 116 rows at n = 2250, 26 at n = 10000. Screen.each
+runs them on the image stage's pool, network._each: STAGE_THREADS threads,
+the caller's included, and none started for one block or a pool of one, so
+a screen whose rows fit one block (200 queries against 800 points, or a
+130-point batch) runs inline. Each block makes its estimates with its own
+GEMM into its thread's buffer and writes only its own rows of the caller's
+outputs.
 
 * Scratch. A thread's buffer holds one block's estimates, BLOCK_ELEMENTS
-  floats (1 MB); a block adds its partition copies, a few rows at a time
-  (BLOCK_ELEMENTS / 8 floats), its masks (BLOCK_ELEMENTS bytes each) and
-  the recomputation's gathers (two of BLOCK_ELEMENTS / 4 floats), about
-  2 MB in all. A call holds at most STAGE_THREADS times that (128 MB on
-  64 CPUs), besides the screen's operands, O((m + n) * dim).
+  floats (2 MB); a block adds its partition copies, a few rows at a time
+  (BLOCK_ELEMENTS / 8 floats, 256 KB), the recomputation's two gathers of
+  _GATHER floats (256 KB each) and its masks (BLOCK_ELEMENTS bytes each),
+  about 3 MB a thread in all (traced at n = 2250, a pool of two peaks 2.6
+  to 3.3 MB above a pool of one). A call holds at most STAGE_THREADS times
+  that (about 190 MB on 64 CPUs), besides the screen's operands,
+  O((m + n) * dim).
 * The error state. numpy keeps it per thread (a context variable in numpy
   2, which pool threads do not inherit), so each block sets its own, the
   same on every thread (_QUIET): infinite and NaN values keep their
@@ -154,11 +158,16 @@ from .data import Classes
 from .mathops import as_sample_matrix
 from .network import _each, _Job
 
-# query rows * points of one screened block: 1 MB of float64 estimates, in
-# a buffer each thread reuses, about 2 MB of scratch a thread with the
-# block's partition copies, masks and gathers. On a pool of two, 2^16 ran
-# slower than one thread at 2^16, and 2^18 raised the peak memory 2 MB more
-BLOCK_ELEMENTS = 1 << 17
+# query rows * points of one screened block: 2 MB of float64 estimates, in
+# a buffer each thread reuses, about 3 MB of scratch a thread with the
+# block's partition copies, masks and gathers. verify of a 2250-point blob
+# run on 2 vCPUs, medians of 25 in-process runs, one thread / a pool of two:
+# 2^16 96 / 96-97 ms (the pool gains nothing), 2^17 83-84 / 63-67 ms, 2^18
+# 74-75 / 53 ms, and 2^19 75 / 51-53 ms for twice the estimate buffer
+BLOCK_ELEMENTS = 1 << 18
+# floats of one gather of _pinned's query and point rows: 2^16 and 2^17
+# took 1.2-1.8x as long
+_GATHER = 1 << 15
 # a block's error state, whichever thread runs it: overflowing points give
 # infinite windows, estimates and pinned distances, and inf - inf NaN, all
 # of which keep their columns
@@ -424,12 +433,11 @@ def _entries(keep):
 def _pinned(q, p, qi, pj, metric: str) -> np.ndarray:
     """Distances of the pairs (q[qi], p[pj]): the pinned arithmetic
     np.sum(d * d) over d = query - point, square-rooted for the
-    euclidean metric, gathered at most BLOCK_ELEMENTS / 4 floats at a time
-    (gathers of 2^16 and 2^17 floats took 1.2-1.8x as long as 2^15). Run
-    in a block's error state, an overflow gives an infinite distance, which
-    the callers report."""
+    euclidean metric, gathered at most _GATHER floats at a time, whatever
+    the block size. Run in a block's error state, an overflow gives an
+    infinite distance, which the callers report."""
     out = np.empty(qi.size)
-    step = max(1, BLOCK_ELEMENTS // (4 * q.shape[1]))
+    step = max(1, _GATHER // q.shape[1])
     for lo in range(0, qi.size, step):
         d = np.take(q, qi[lo:lo + step], axis=0)
         d -= np.take(p, pj[lo:lo + step], axis=0)

@@ -1,5 +1,7 @@
 """Artifact writes are all-or-nothing: a write that fails part-way leaves
 the previous file as it was and no temporary file behind."""
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,21 @@ def test_failed_write_keeps_previous_file(tmp_path):
         with atomic_open(target, "w") as f:
             f.write("partial")
             raise RuntimeError("interrupted")
+    assert target.read_text() == "previous\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_failed_replace_keeps_previous_file(tmp_path, monkeypatch):
+    target = tmp_path / "manifest.json"
+    target.write_text("previous\n")
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        with atomic_open(target, "w") as f:
+            f.write("complete")
     assert target.read_text() == "previous\n"
     assert list(tmp_path.iterdir()) == [target]
 

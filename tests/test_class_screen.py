@@ -149,10 +149,10 @@ def test_blocks_span_classes_and_classes_span_blocks(monkeypatch, k, rows):
     _assert_all_match(pts, labels, k)
 
 
-def _blobs(spacing, seed=3):
+def _blobs(spacing, seed=3, per_class=40):
     rng = np.random.default_rng(seed)
     centres = spacing * rng.standard_normal((5, 6))
-    labels = _shuffled_labels([40] * 5, [4, 0, 3, 1, 2], seed=seed)
+    labels = _shuffled_labels([per_class] * 5, [4, 0, 3, 1, 2], seed=seed)
     return centres[labels] + rng.standard_normal((labels.size, 6)), labels
 
 
@@ -318,29 +318,51 @@ def _assert_equal(actual, expected):
             assert a == e
 
 
-@pytest.mark.parametrize("k", [3, 14])
-def test_results_keep_their_bits_at_every_pool_size(monkeypatch, pools, k):
-    # two overlapping classes beside three far ones, so that blocks with and
-    # without the band, and with the full-row fallback, meet in one call;
-    # 13-row blocks: 16 of them, the last of 5 rows, each class over several
-    pts, labels = _blobs(spacing=0.05)
-    far = labels >= 2
-    pts[far] += 1e3 * labels[far, None]
-    queries = np.concatenate([pts[::4] + 0.01, pts[:7]])
-    monkeypatch.setattr(knn, "BLOCK_ELEMENTS", 13 * labels.size + 7)
-    results = []
+def _assert_bits_at_pools_1_2_3(monkeypatch, pts, labels, queries, k):
+    """Every caller's results at pools of 1, 2 and 3 threads equal each
+    other and the exhaustive scan's. Returns each block's (rows, classes),
+    the same at every pool size."""
+    results, blocks = [], []
     for threads in (1, 2, 3):
         monkeypatch.setattr(network, "STAGE_THREADS", threads)
-        sizes = class_screen(pts, labels).each(lambda blk: blk.hi - blk.lo)
-        assert sizes == [13] * 15 + [5]
-        spans = class_screen(pts, labels).each(
-            lambda blk: np.unique(labels[blk.layout.ids[blk.lo:blk.hi]]).size)
-        assert max(spans) == 2
+        blocks.append(class_screen(pts, labels).each(
+            lambda blk: (blk.hi - blk.lo, np.unique(labels[blk.layout.ids[blk.lo:blk.hi]]).size)))
         results.append(_kernel_results(pts, labels, queries, k))
     assert list(network._pools) == [2, 3]
+    assert blocks[0] == blocks[1] == blocks[2]
     _assert_equal(results[0], _exhaustive_results(pts, labels, queries, k))
     for other in results[1:]:
         _assert_equal(other, results[0])
+    return blocks[0]
+
+
+def _overlapping_and_far(per_class):
+    """(points, labels, queries): two overlapping blob classes beside three
+    far ones, so that blocks with and without the band, and with the
+    full-row fallback, meet in one call, and queries near a quarter of the
+    points."""
+    pts, labels = _blobs(spacing=0.05, per_class=per_class)
+    far = labels >= 2
+    pts[far] += 1e3 * labels[far, None]
+    return pts, labels, np.concatenate([pts[::4] + 0.01, pts[:7]])
+
+
+@pytest.mark.parametrize("k", [3, 14])
+def test_results_keep_their_bits_at_every_pool_size(monkeypatch, pools, k):
+    shipped = knn.BLOCK_ELEMENTS
+    # 40 points a class in 13-row blocks: 16 of them, the last of 5 rows,
+    # each class over several
+    monkeypatch.setattr(knn, "BLOCK_ELEMENTS", 13 * 200 + 7)
+    blocks = _assert_bits_at_pools_1_2_3(monkeypatch, *_overlapping_and_far(40), k)
+    assert [rows for rows, _ in blocks] == [13] * 15 + [5]
+    assert max(classes for _, classes in blocks) == 2
+    # 200 points a class at the shipped BLOCK_ELEMENTS: three blocks or
+    # more, and classes over two or more, so counted in each
+    monkeypatch.setattr(knn, "BLOCK_ELEMENTS", shipped)
+    blocks = _assert_bits_at_pools_1_2_3(monkeypatch, *_overlapping_and_far(200), k)
+    assert len(blocks) >= 3
+    assert [rows for rows, _ in blocks[:-1]] == [shipped // 1000] * (len(blocks) - 1)
+    assert sum(classes for _, classes in blocks) > 5
 
 
 # each caller on points and labels at k

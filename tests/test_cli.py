@@ -1,9 +1,13 @@
+import gzip
+import io
 import json
 import os
 import shutil
 import struct
 import subprocess
 import sys
+import urllib.error
+import urllib.request
 import warnings
 from pathlib import Path
 
@@ -308,10 +312,67 @@ def test_runs_dir_env_override(tmp_path, monkeypatch):
     assert runs[0].name.endswith("-lm")
 
 
-def test_fetch_mnist_offline_exit_3(tmp_path, capsys):
+def _offline(url, timeout):
+    raise urllib.error.URLError("no network")
+
+
+def test_fetch_mnist_offline_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(urllib.request, "urlopen", _offline)
     code = main(["fetch-mnist", "--dest", str(tmp_path / "mnist")])
     assert code == 3
     assert "download failed" in capsys.readouterr().err
+
+
+def _serve_mnist(monkeypatch):
+    """{file name: payload}: urlopen answers each MNIST_FILES download with
+    a payload of its expected size."""
+    payloads = {name + ".gz": bytes([i + 1]) * size
+                for i, (name, size) in enumerate(cli.MNIST_FILES.values())}
+    monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout: io.BytesIO(
+        payloads[url.removeprefix(cli.MNIST_MIRROR)]))
+    return payloads
+
+
+def test_fetch_mnist_writes_each_file_whole(tmp_path, monkeypatch):
+    payloads = _serve_mnist(monkeypatch)
+    dest = tmp_path / "mnist"
+    assert main(["fetch-mnist", "--dest", str(dest)]) == 0
+    assert {path.name: path.read_bytes() for path in dest.iterdir()} == payloads
+    # a second fetch finds every file present
+    monkeypatch.setattr(urllib.request, "urlopen", _offline)
+    assert main(["fetch-mnist", "--dest", str(dest)]) == 0
+
+
+def test_fetch_mnist_leaves_no_partial_file(tmp_path, monkeypatch):
+    # a download whose write never reaches its rename, as in a fetch killed
+    # mid-write, leaves nothing under a real name
+    _serve_mnist(monkeypatch)
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    dest = tmp_path / "mnist"
+    with pytest.raises(OSError, match="interrupted"):
+        main(["fetch-mnist", "--dest", str(dest)])
+    assert list(dest.iterdir()) == []
+
+
+def test_train_on_a_cut_gz_idx_file_exit_3(tmp_path, capsys):
+    # gzip reports a stream cut short as an EOFError: a truncated file,
+    # named, and no run directory
+    idx = Path(_idx_dir(tmp_path / "idx"))
+    images = idx / "train-images-idx3-ubyte"
+    packed = gzip.compress(images.read_bytes())
+    images.unlink()
+    cut = idx / "train-images-idx3-ubyte.gz"
+    cut.write_bytes(packed[:len(packed) // 2])
+    capsys.readouterr()
+    code = main(["train", "--data", "mnist", "--train-dir", str(idx), "--epochs", "1",
+                 "--out-dir", str(tmp_path / "r")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"data error: truncated_file: {cut} ")
+    assert not (tmp_path / "r").exists()
 
 
 # one argv per command that sets some of its flags

@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -76,11 +77,17 @@ def test_idx_bad_magic(idx_pair):
 
 
 def test_idx_truncated(tmp_path, idx_pair):
+    # a plain file cut short, and a gzip stream cut short, which gzip reports
+    # as an EOFError
     ipath, lpath, _, _ = idx_pair
     cut = tmp_path / "cut-idx3-ubyte"
     cut.write_bytes(ipath.read_bytes()[:-5])
-    with pytest.raises(ValueError, match="truncated_file"):
-        load_mnist_idx(cut, lpath)
+    packed = gzip.compress(ipath.read_bytes())
+    cut_gz = tmp_path / "cut-idx3-ubyte.gz"
+    cut_gz.write_bytes(packed[:len(packed) // 2])
+    for path in (cut, cut_gz):
+        with pytest.raises(ValueError, match=re.escape(f"truncated_file: {path} ")):
+            load_mnist_idx(path, lpath)
 
 
 def test_idx_trailing_garbage(tmp_path, idx_pair):
