@@ -9,7 +9,8 @@ from contextlib import contextmanager
 @contextmanager
 def atomic_open(path, mode: str = "wb", newline: str | None = None):
     """Open a temporary file beside path; os.replace it onto path on a
-    clean exit, delete it otherwise, a failed replace included. newline is
+    clean exit, delete it otherwise (a failed replace included), naming path
+    in an OS error that names no file, as a failed write does. newline is
     passed to open (csv writers need newline="")."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     f = open(tmp, mode, newline=newline)
@@ -17,6 +18,8 @@ def atomic_open(path, mode: str = "wb", newline: str | None = None):
         with f:
             yield f
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as err:
         os.unlink(tmp)
+        if isinstance(err, OSError) and err.errno and err.filename is None:
+            err.filename = os.fspath(path)
         raise

@@ -1,15 +1,15 @@
-"""Command-line workflow: train, eval, verify, compare, export-scatter.
+"""Command-line workflow: train, eval, verify, compare, export-scatter, fetch-mnist.
 
 Every command is deterministic given its flags, seed, and input files.
 Each option is declared once, in OPTIONS, and COMMANDS lists the options
-each command takes, as flags and as keys of a ``key = value`` config file
-(the long flag names, dashes or underscores). A value comes from its flag,
-else the config file, else (eval and verify) the run's manifest.json
-config, else the built-in default. Exit codes: 0 ok, 2 configuration
-error, 3 data error, 4 numeric failure. main builds only the named
-command's parser: each argparse flag costs a help formatter and a
-terminal-size query, and all six commands' flags took a fifth of eval's
-time on an 800-point run.
+each command takes, as flags and (with config) as keys of a ``key = value``
+config file (the long flag names, dashes or underscores). A value comes
+from its flag, else the config file, else (eval and verify) the run's
+manifest.json config, else the built-in default. Exit codes: 0 ok, 2
+configuration error, 3 data error (a failed file write among them), 4
+numeric failure. main builds only the named command's parser: each
+argparse flag costs a help formatter and a terminal-size query, and all
+six commands' flags took a fifth of eval's time on an 800-point run.
 
 Run artifacts live under ``runs/<timestamp>-<name>/`` (override the root
 with LOCALTRIPLET_RUNS_DIR or the directory with --out-dir): a manifest,
@@ -35,7 +35,6 @@ import numpy as np
 from . import __version__
 from .atomic import atomic_open
 from .data import (
-    Classes,
     Dataset,
     check_blob_config,
     load_dataset,
@@ -136,6 +135,7 @@ OPTIONS = {
     "run_dir": Option(str, required=True),
     "which": Option(str, "test", choices=("train", "test")),
     "config": Option(str, help="key = value config file"),
+    "dest": Option(str, "data/mnist", "directory for the IDX .gz files (default data/mnist)"),
 }
 
 # the options that set a LossWeights field and those that set a TrainConfig
@@ -144,14 +144,15 @@ _WEIGHTS = ("w_lm", "w_ms", "w_md", "w_ss", "w_sd", "c_b", "eps", "margin_m")
 _SCHEDULE = ("batch_size", "epochs", "convergence_eps", "lr", "seed")
 _FIELDS = {"margin_m": "fixed_margin_m", "epochs": "e_max"}
 
-# train and compare take every option but the two that name an existing run
-_TRAINING = tuple(name for name in OPTIONS if name not in ("run_dir", "which"))
+# train and compare take every option but those of an existing run and fetch-mnist's
+_TRAINING = tuple(name for name in OPTIONS if name not in ("run_dir", "which", "dest"))
 COMMANDS = {    # command: (help, the options it takes as flags and config keys)
     "train": ("train one method", _TRAINING),
     "eval": ("KNN-evaluate a checkpoint", ("run_dir", "k", "config")),
     "verify": ("purity and optimal-condition checks", ("run_dir", "k", "c_b", "eps", "config")),
     "compare": ("train and score all methods", _TRAINING),
     "export-scatter": ("2-D PCA CSV of embeddings", ("run_dir", "which", "config")),
+    "fetch-mnist": ("download the IDX files (needs network)", ("dest",)),
 }
 
 
@@ -410,7 +411,7 @@ def _train_into(out_dir: Path, opts: dict, sources: dict):
     if val_ds is not None:
         save_dataset(out_dir / "val.npz", val_ds)
         outputs.append("val.npz")
-    if test_ds is not None and test_ds.n:
+    if test_ds.n:
         save_dataset(out_dir / "test.npz", test_ds)
         outputs.append("test.npz")
     _manifest(out_dir, "train", opts, train_ds, outputs)
@@ -497,12 +498,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     train_emb = embed_finite(net, train_ds)
     condition = check_optimal_condition(train_emb, train_ds.labels, k,
                                         settings["c_b"], settings["eps"])
-    # finite embeddings can still overflow their distances, as in training:
-    # a d_ak, or every distance from an anchor to the rest of its class (no
-    # finite positive, -inf, where the class has another member)
-    classes = Classes(train_ds.labels)
-    no_positive = (classes.count[classes.of] > 1) & (condition.max_pos == -np.inf)
-    if not np.all(np.isfinite(condition.d_ak)) or np.any(no_positive):
+    # finite embeddings can still overflow their distances, as in training
+    if condition.overflowed:
         raise DivergedError("diverged: distances of the train split's embeddings overflow")
     write_violations_csv(run / "violations.csv", condition)
     summary = {
@@ -536,7 +533,7 @@ def cmd_compare(ns: argparse.Namespace) -> int:
     for method in METHODS:
         net, train_ds, test_ds, reports, reason, k = _train_into(
             out_dir / method, dict(opts, method=method, out_dir=None), sources)
-        if test_ds is None or not test_ds.n:
+        if not test_ds.n:
             raise DataError("compare needs held-out test data")
         accuracy, _p, _c = evaluate_knn(net, train_ds, test_ds, k)
         rows.append((method, accuracy, len(reports), reason))
@@ -562,7 +559,7 @@ def cmd_export_scatter(ns: argparse.Namespace) -> int:
 
 def cmd_fetch_mnist(ns: argparse.Namespace) -> int:
     import urllib.request    # here, so that no other command imports http, email and ssl
-    dest = Path(ns.dest)
+    dest = Path(_resolve(ns)[0]["dest"])
     dest.mkdir(parents=True, exist_ok=True)
     for kind, (name, expected_size) in MNIST_FILES.items():
         target = dest / (name + ".gz")
@@ -591,23 +588,18 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="localtriplet",
         description="Train and verify neighborhood-margin triplet embeddings.")
-    commands = [*COMMANDS, "fetch-mnist"]
     # the full parser's choices in the usage line of any error it prints
-    metavar = "{" + ",".join(commands) + "}" if only in commands else None
+    metavar = "{" + ",".join(COMMANDS) + "}" if only in COMMANDS else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    for command in [only] if metavar else commands:
-        if command == "fetch-mnist":
-            p = sub.add_parser(command, help="download the IDX files (needs network)")
-            p.add_argument("--dest", default="data/mnist")
-        else:
-            help_text, names = COMMANDS[command]
-            p = sub.add_parser(command, help=help_text)
-            for name in names:
-                opt = OPTIONS[name]
-                p.add_argument("--" + name.replace("_", "-"), type=opt.type,
-                               choices=opt.choices, required=opt.required,
-                               default=argparse.SUPPRESS, help=opt.help)
+    for command in [only] if metavar else COMMANDS:
+        help_text, names = COMMANDS[command]
+        p = sub.add_parser(command, help=help_text)
+        for name in names:
+            opt = OPTIONS[name]
+            p.add_argument("--" + name.replace("_", "-"), type=opt.type,
+                           choices=opt.choices, required=opt.required,
+                           default=argparse.SUPPRESS, help=opt.help)
         # looked up on each call, so that a wrapped cmd_* is the one run
         p.set_defaults(func=globals()["cmd_" + command.replace("-", "_")])
     return parser
@@ -618,10 +610,11 @@ def main(argv=None) -> int:
     ns = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return ns.func(ns)
-    except (ConfigError, DataError, DivergedError) as err:
-        prefix = {2: "config error", 3: "data error", 4: "numeric failure"}[err.exit_code]
+    except (ConfigError, DataError, DivergedError, OSError) as err:
+        code = getattr(err, "exit_code", DataError.exit_code)   # an OSError: a failed write
+        prefix = {2: "config error", 3: "data error", 4: "numeric failure"}[code]
         print(f"{prefix}: {err}", file=sys.stderr)
-        return err.exit_code
+        return code
 
 
 if __name__ == "__main__":

@@ -353,12 +353,12 @@ class ScreenBlock:
         <= S_i + window; the columns below the band are counted, not kept
         (the band, in the module docstring). The extremes keep extreme_keep's
         bands. Any other block keeps kth_keep's and extreme_keep's columns
-        and counts none (below is None); both paths share S_i and the outside
-        minimum. May overwrite the slab estimates, so it comes last."""
+        (every column up to the kth) and counts zeros; both share S_i and the
+        outside minimum. May overwrite the slab estimates, so it comes last."""
         est, w = self.est, self.window
         kth, low = self.slab_kth(k), self.outside_min()
         if not np.all(low > kth + w):       # -inf + inf (NaN): an overflowed row
-            return self.extreme_keep(self.kth_keep(k, kth), low), None
+            return self.extreme_keep(self.kth_keep(k, kth), low), np.zeros(est.shape[0], np.int64)
         # every window, S_i and estimate here is finite (an infinite low
         # means no column outside the slab), save the own column's -inf
         lower, upper = kth - w, kth + w
@@ -504,12 +504,11 @@ def screen(q: np.ndarray, p: np.ndarray, own=None, layout: ClassLayout | None = 
     return Screen(q, p, own, layout, a, b, window, max(1, BLOCK_ELEMENTS // n))
 
 
-def class_screen(x: np.ndarray, labels) -> Screen:
+def class_screen(x: np.ndarray, classes: Classes) -> Screen:
     """The Screen of x against itself in ClassLayout order, each row leaving
     out its own column; blk.layout.ids[blk.lo:blk.hi] are a block's rows'
-    point ids. labels may be given as their Classes grouping. The label
-    count is checked at the call, before any block is drawn."""
-    classes = labels if isinstance(labels, Classes) else Classes(labels)
+    point ids. The label count is checked at the call, before any block is
+    drawn."""
     if classes.n != x.shape[0]:
         raise ValueError(f"label_mismatch: {x.shape[0]} points vs {classes.n} labels")
     layout = ClassLayout(classes)

@@ -898,7 +898,7 @@ def load_checkpoint(path) -> tuple[EmbeddingNet, dict]:
     try:
         specs = [LayerSpec(**s) for s in meta["layers"]]
         net = EmbeddingNet(meta["input_shape"], specs, seed=meta["seed"],
-                           dtype=meta.get("dtype", "float64"), params=params)
+                           dtype=meta["dtype"], params=params)
     except TypeError as err:     # a value of the wrong JSON type
         raise ValueError(f"bad_checkpoint: {err}") from err
-    return net, meta.get("extra", {})
+    return net, meta["extra"]

@@ -42,6 +42,8 @@ class OptimalConditionReport:
     d_ak: np.ndarray | None = field(default=None, compare=False, repr=False)
     # (n,) each anchor's largest finite same-class distance, -inf for none
     max_pos: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # an infinite d_ak, or no finite positive where the class has another member
+    overflowed: bool = False
 
     @property
     def worst_residual(self) -> float:
@@ -71,7 +73,7 @@ def check_optimal_condition(embeddings, labels, k: int, c_b: float, eps: float
     """Per-anchor residuals of min_n D_an >= max_p D_ap + c_b*d_ak + eps.
 
     Anchors whose class holds fewer than k+1 samples are skipped and
-    reported rather than failed.
+    reported rather than failed; overflowing distances set overflowed.
     """
     x = as_sample_matrix(embeddings)
     labels = np.asarray(labels, dtype=np.int64)
@@ -85,10 +87,8 @@ def check_optimal_condition(embeddings, labels, k: int, c_b: float, eps: float
         rows = blk.layout.ids[blk.lo:blk.hi]
         keep, below = blk.condition_keep(k)
         cols, dists = blk.candidates(keep, "euclidean")
-        if below is None:
-            d_ak[rows] = np.partition(dists, k - 1, axis=1)[:, k - 1]
-        else:       # the band path: the (k - below)-th smallest kept distance
-            d_ak[rows] = np.sort(dists, axis=1)[np.arange(rows.size), k - 1 - below]
+        # the (k - below)-th smallest kept distance
+        d_ak[rows] = np.sort(dists, axis=1)[np.arange(rows.size), k - 1 - below]
         peer = blk.peers(cols)
         # an overflowed (infinite) distance counts as no positive
         max_pos[rows] = np.max(np.where(peer & np.isfinite(dists), dists, -np.inf), axis=1)
@@ -96,8 +96,10 @@ def check_optimal_condition(embeddings, labels, k: int, c_b: float, eps: float
 
     class_screen(x, classes).each(block)
     checked = classes.count[classes.of] >= k + 1
+    no_positive = (classes.count[classes.of] > 1) & (max_pos == -np.inf)
+    overflowed = bool(np.any(~np.isfinite(d_ak) | no_positive))
     # an infinite (overflowed) d_ak beside no finite positive gives NaN,
-    # which fails every comparison; callers check d_ak for overflow
+    # which fails every comparison; overflowed reports it
     with np.errstate(invalid="ignore"):
         rhs = max_pos + c_b * d_ak + eps
     violations = [Violation(anchor=int(a), residual=float(rhs[a] - min_neg[a]),
@@ -106,7 +108,8 @@ def check_optimal_condition(embeddings, labels, k: int, c_b: float, eps: float
                   for a in np.flatnonzero(checked & (min_neg < rhs))]
     return OptimalConditionReport(violations=violations,
                                   skipped_anchors=np.flatnonzero(~checked).tolist(),
-                                  n_checked=int(np.sum(checked)), d_ak=d_ak, max_pos=max_pos)
+                                  n_checked=int(np.sum(checked)), d_ak=d_ak, max_pos=max_pos,
+                                  overflowed=overflowed)
 
 
 def _d_ak(x: np.ndarray, k: int) -> np.ndarray:

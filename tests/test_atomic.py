@@ -1,5 +1,6 @@
 """Artifact writes are all-or-nothing: a write that fails part-way leaves
 the previous file as it was and no temporary file behind."""
+import errno
 import os
 
 import numpy as np
@@ -51,3 +52,13 @@ def test_csv_rows_end_in_one_line_terminator(tmp_path):
     target = tmp_path / "scatter.csv"
     write_scatter_csv(target, np.array([[0.5, -1.0]]), [3])
     assert target.read_bytes() == b"query_id,x,y,label,status\r\n0,0.5,-1.0,3,\r\n"
+
+
+def test_failed_write_names_the_target(tmp_path):
+    # a write error, as on a full disk, names no file of its own
+    target = tmp_path / "checkpoint.npz"
+    with pytest.raises(OSError, match="No space left on device: .*checkpoint.npz'"):
+        with atomic_open(target) as f:
+            f.write(b"partial")
+            raise OSError(errno.ENOSPC, "No space left on device")
+    assert list(tmp_path.iterdir()) == []

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from localtriplet import knn, network
 from localtriplet.cli import main
+from localtriplet.data import Classes
 from localtriplet.knn import build_index, class_screen, take_snapshot, topk
 from localtriplet.mining import mine_hard, trainable_anchors
 from localtriplet.verify import check_optimal_condition, purity_check
@@ -141,7 +142,7 @@ def test_blocks_span_classes_and_classes_span_blocks(monkeypatch, k, rows):
     labels = _shuffled_labels([4, 5, 3, 48], [2, 3, 5, 8], seed=5)
     pts = rng.standard_normal((labels.size, 4))
     monkeypatch.setattr("localtriplet.knn.BLOCK_ELEMENTS", rows * labels.size)
-    blocks = class_screen(pts, labels).each(
+    blocks = class_screen(pts, Classes(labels)).each(
         lambda blk: np.unique(labels[blk.layout.ids[blk.lo:blk.hi]]))
     assert len(blocks) == -(-labels.size // rows)
     assert max(b.size for b in blocks) >= min(rows, 3)
@@ -325,7 +326,7 @@ def _assert_bits_at_pools_1_2_3(monkeypatch, pts, labels, queries, k):
     results, blocks = [], []
     for threads in (1, 2, 3):
         monkeypatch.setattr(network, "STAGE_THREADS", threads)
-        blocks.append(class_screen(pts, labels).each(
+        blocks.append(class_screen(pts, Classes(labels)).each(
             lambda blk: (blk.hi - blk.lo, np.unique(labels[blk.layout.ids[blk.lo:blk.hi]]).size)))
         results.append(_kernel_results(pts, labels, queries, k))
     assert list(network._pools) == [2, 3]

@@ -353,9 +353,16 @@ def test_fetch_mnist_leaves_no_partial_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", interrupted)
     dest = tmp_path / "mnist"
-    with pytest.raises(OSError, match="interrupted"):
-        main(["fetch-mnist", "--dest", str(dest)])
+    assert main(["fetch-mnist", "--dest", str(dest)]) == 3
     assert list(dest.iterdir()) == []
+
+
+def test_fetch_mnist_help_shows_dest(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["fetch-mnist", "--help"])
+    assert exit_.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--dest DEST directory for the IDX .gz files (default data/mnist)" in out
 
 
 def test_train_on_a_cut_gz_idx_file_exit_3(tmp_path, capsys):
@@ -397,7 +404,7 @@ def _parse(parser, argv, capsys):
     return (code, *capsys.readouterr(), ns)
 
 
-@pytest.mark.parametrize("command", [*COMMANDS, "fetch-mnist"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_one_command_parser_matches_the_full_parser(command, capsys):
     one, full = cli.build_parser(command), cli.build_parser()
     # help; a parse; errors of the top-level parser (unrecognized arguments)
@@ -411,7 +418,7 @@ def test_one_command_parser_matches_the_full_parser(command, capsys):
     assert code == 2 and err.startswith("usage: localtriplet " + command)
 
 
-@pytest.mark.parametrize("command", [*COMMANDS, "fetch-mnist"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_main_builds_only_the_named_commands_parser(command, monkeypatch, capsys):
     built = []
     build = cli.build_parser
@@ -756,6 +763,11 @@ MALFORMED_RUN = {
                              "bad_checkpoint", ("eval", "verify", "export-scatter")),
     "checkpoint-layers-int": ("checkpoint.npz", lambda m: m.update(layers=5),
                               "bad_checkpoint", ("eval", "verify", "export-scatter")),
+    # save_checkpoint writes every key; one that is missing is not defaulted
+    "checkpoint-no-dtype": ("checkpoint.npz", lambda m: m.pop("dtype"),
+                            "dtype", ("eval", "verify", "export-scatter")),
+    "checkpoint-no-extra": ("checkpoint.npz", lambda m: m.pop("extra"),
+                            "extra", ("eval", "verify", "export-scatter")),
     "train-sample-shape-int": ("train.npz", lambda m: m.update(sample_shape=3),
                                "bad_cache", ("eval", "verify", "export-scatter")),
     "manifest-k-str": ("manifest.json", lambda m: m["config"].update(k="5"),
@@ -872,3 +884,31 @@ def test_verify_overflowing_positive_distances_exit_4(tmp_path, capsys):
         "numeric failure: diverged: distances of the train split's embeddings overflow\n")
     assert not (run / "violations.csv").exists()
     assert not (run / "verify_summary.json").exists()
+
+
+def _unwritable(command, tmp_path, finished_run):
+    """(argv, path) of a command whose first run file cannot be written:
+    a directory under a regular file, or a directory where a report goes."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if command in ("train", "compare"):
+        return [command, *SMALL_ARGS, "--out-dir", str(blocker / "run")], blocker / "run"
+    if command == "fetch-mnist":
+        return [command, "--dest", str(blocker / "m")], blocker / "m"
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    report = {"eval": "eval_report.json", "verify": "violations.csv",
+              "export-scatter": "scatter.csv"}[command]
+    (run / report).mkdir()
+    return [command, "--run-dir", str(run)], run / report
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_failed_run_file_write_exit_3(tmp_path, capsys, finished_run, command):
+    # an OSError while creating or writing a file is a data error that names
+    # the path, and no temporary file is left
+    argv, path = _unwritable(command, tmp_path, finished_run)
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: [Errno ") and str(path) in err
+    assert not list(tmp_path.rglob("*.tmp"))

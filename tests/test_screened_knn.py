@@ -13,6 +13,7 @@ is checked on the same point sets.
 import numpy as np
 import pytest
 
+from localtriplet.data import Classes
 from localtriplet.knn import build_index, class_screen, screen, take_snapshot, topk
 from localtriplet.mining import mine_hard, trainable_anchors
 from localtriplet.verify import check_optimal_condition, purity_check
@@ -102,7 +103,8 @@ def test_estimates_within_half_the_window(kind, dim, blocks):
         return np.count_nonzero(rows)
 
     checked = sum(sum(scr.each(check)) for scr in (
-        screen(queries, pts), screen(pts, pts, np.arange(N)), class_screen(pts, _labels())))
+        screen(queries, pts), screen(pts, pts, np.arange(N)),
+        class_screen(pts, Classes(_labels()))))
     # squared norms near the float64 maximum give every row an infinite window
     assert checked == 0 if kind == "overflow" else checked == 2 * N + 14
 

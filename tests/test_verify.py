@@ -73,6 +73,21 @@ def test_overflowing_positives_read_as_none_without_a_warning():
     assert report.violations == [] and report.n_checked == 4
 
 
+def test_overflow_is_reported():
+    # no finite positive, as above; then every pair at an overflowing
+    # distance, so d_ak (k = 1) is infinite; then ordinary clusters
+    labels = np.array([0, 0, 1, 1])
+    no_positive = np.array([[0.0, 0.0], [1e155, 1e155], [1.0, 0.0], [1e155 + 1e140, 1e155]])
+    far = np.array([[0.0, 0.0], [1e155, 1e155], [-1e155, 1e155], [1e155, -1e155]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = [check_optimal_condition(pts, labels, 1, 1.0, 0.0) for pts in (no_positive, far)]
+    assert np.all(np.isfinite(reports[0].d_ak)) and not np.any(np.isfinite(reports[1].d_ak))
+    assert reports[0].overflowed and reports[1].overflowed
+    pts, labels = _tight_clusters(np.random.default_rng(3))
+    assert not check_optimal_condition(pts, labels, 5, 3.0, 1e-3).overflowed
+
+
 # ------------------------------------------------------------------- purity
 
 def test_query_at_anchor_in_single_class_neighborhood_is_pure():
